@@ -90,18 +90,13 @@ fn bench_random_geometry_scan(c: &mut Criterion) {
     });
 }
 
-/// Stamps an `n × n` grid Laplacian (the structure of every power-grid
-/// and RC-mesh MNA system) into both matrix representations.
-fn stamp_grid_laplacian(n: usize) -> (Matrix, SparseMatrix) {
-    let unknowns = n * n;
-    let mut dense = Matrix::zeros(unknowns, unknowns);
-    let mut sparse = SparseMatrix::zeros(unknowns);
+/// The stamps of an `n × n` grid Laplacian with a leak on every node —
+/// the structure of every power-grid and RC-mesh MNA system.
+fn grid_laplacian_stamps(n: usize) -> Vec<(usize, usize, f64)> {
     let at = |r: usize, c: usize| r * n + c;
+    let mut stamps = Vec::new();
     let mut couple = |a: usize, b: usize, g: f64| {
-        for (r, c, v) in [(a, a, g), (b, b, g), (a, b, -g), (b, a, -g)] {
-            dense.add(r, c, v);
-            sparse.add(r, c, v);
-        }
+        stamps.extend([(a, a, g), (b, b, g), (a, b, -g), (b, a, -g)]);
     };
     for r in 0..n {
         for c in 0..n {
@@ -113,11 +108,55 @@ fn stamp_grid_laplacian(n: usize) -> (Matrix, SparseMatrix) {
             }
         }
     }
-    for i in 0..unknowns {
-        dense.add(i, i, 0.05);
-        sparse.add(i, i, 0.05);
+    stamps.extend((0..n * n).map(|i| (i, i, 0.05)));
+    stamps
+}
+
+/// Stamps an `n × n` grid Laplacian into both matrix representations.
+fn stamp_grid_laplacian(n: usize) -> (Matrix, SparseMatrix) {
+    let unknowns = n * n;
+    let mut dense = Matrix::zeros(unknowns, unknowns);
+    let mut sparse = SparseMatrix::zeros(unknowns);
+    for (r, c, v) in grid_laplacian_stamps(n) {
+        dense.add(r, c, v);
+        sparse.add(r, c, v);
     }
     (dense, sparse)
+}
+
+/// The sparse grid Laplacian alone, for sizes a dense copy cannot hold.
+fn sparse_grid_laplacian(n: usize) -> SparseMatrix {
+    let mut sparse = SparseMatrix::zeros(n * n);
+    for (r, c, v) in grid_laplacian_stamps(n) {
+        sparse.add(r, c, v);
+    }
+    sparse
+}
+
+/// The Laplacian of an `n`-node random tree of chains with a leak on
+/// every node — the shape of the em-tree stress systems: node `i`
+/// extends the chain through `i − 1`, except that one node in eight
+/// branches off a pseudo-random earlier node. No fill, width-1
+/// supernodes.
+fn tree_laplacian(n: usize) -> SparseMatrix {
+    let mut m = SparseMatrix::zeros(n);
+    for i in 0..n {
+        m.add(i, i, 0.05);
+    }
+    for i in 1..n {
+        let h = (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32;
+        #[allow(clippy::cast_possible_truncation)]
+        let p = if h.is_multiple_of(8) {
+            h as usize % i
+        } else {
+            i - 1
+        };
+        m.add(i, i, 2.0);
+        m.add(p, p, 2.0);
+        m.add(i, p, -2.0);
+        m.add(p, i, -2.0);
+    }
+    m
 }
 
 #[allow(clippy::cast_precision_loss)]
@@ -142,7 +181,7 @@ fn bench_dense_vs_sparse(c: &mut Criterion) {
         });
     }
     for n in [50usize, 100] {
-        let (_, sparse) = stamp_grid_laplacian(n);
+        let sparse = sparse_grid_laplacian(n);
         let b = grid_rhs(n * n);
         group.bench_with_input(BenchmarkId::new("sparse", n), &(), |bench, ()| {
             bench.iter(|| black_box(sparse.factor().unwrap().solve(&b)));
@@ -192,12 +231,61 @@ fn bench_factor_reuse(c: &mut Criterion) {
     group.finish();
 }
 
+/// Per-size sweep of the SPD kernel: a fresh factor (ordering, symbolic
+/// and numeric phases), a numeric-only refactor, and one solve, on grid
+/// Laplacians from 12×12 to 300×300 and on a 2k-node tree. Each matrix
+/// first prints its multiply-add count, Σ c(c+1)/2 over the column
+/// counts c of L, so a time converts to an achieved rate.
+fn bench_cholesky_sweep(c: &mut Criterion) {
+    let mut group = c.benchmark_group("cholesky_sweep");
+    group.sample_size(10);
+    let mut cases: Vec<(String, SparseMatrix)> = [12usize, 20, 40, 100, 300]
+        .iter()
+        .map(|&n| (format!("grid{n}"), sparse_grid_laplacian(n)))
+        .collect();
+    cases.push(("tree2000".to_string(), tree_laplacian(2000)));
+    for (name, m) in &cases {
+        let b = grid_rhs(m.n());
+        let f = m.factor_cholesky().expect("Laplacian with leaks is SPD");
+        let madds: usize = f
+            .l_col_ptr()
+            .windows(2)
+            .map(|w| (w[1] - w[0]) * (w[1] - w[0] + 1) / 2)
+            .sum();
+        println!(
+            "cholesky_sweep/{name}: n {}, nnz(L+D) {}, supernodes {}, multiply-adds {madds}",
+            m.n(),
+            f.nnz(),
+            f.supernodes().len().saturating_sub(1),
+        );
+        group.bench_with_input(BenchmarkId::new("factor", name), &(), |bench, ()| {
+            bench.iter(|| black_box(m.factor_cholesky().unwrap().nnz()));
+        });
+        group.bench_with_input(BenchmarkId::new("refactor", name), &(), |bench, ()| {
+            let mut f = f.clone();
+            bench.iter(|| {
+                f.refactor(m).unwrap();
+                black_box(f.diagonal()[0])
+            });
+        });
+        group.bench_with_input(BenchmarkId::new("solve", name), &(), |bench, ()| {
+            let mut x = Vec::new();
+            bench.iter(|| {
+                f.solve_into(&b, &mut x);
+                black_box(x[0])
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_single_solve,
     bench_fig2_sweep,
     bench_random_geometry_scan,
     bench_dense_vs_sparse,
-    bench_factor_reuse
+    bench_factor_reuse,
+    bench_cholesky_sweep
 );
 criterion_main!(benches);

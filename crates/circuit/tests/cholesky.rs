@@ -1,10 +1,26 @@
-//! Integration properties of the SPD Cholesky fast path: agreement with
-//! the LU reference on random grid stamps and backend dispatch (SPD →
-//! LDLᵀ, anything else → LU).
+//! Integration properties of the SPD Cholesky fast path, checked against
+//! oracles that share no code with it: dense LU solves
+//! ([`hotwire_circuit::linalg::Matrix`]) of random SPD systems whose
+//! patterns give many supernode shapes, dense boolean elimination for
+//! the symbolic pattern, and the error paths. Also agreement with the
+//! sparse LU and the backend dispatch (SPD → LDLᵀ, anything else → LU).
+//!
+//! `PROPTEST_CASES` sets the number of random cases per property
+//! (default 24).
 
+use hotwire_circuit::linalg::Matrix;
 use hotwire_circuit::solver::{MnaMatrix, SolverPath};
 use hotwire_circuit::sparse::SparseMatrix;
+use hotwire_circuit::CircuitError;
 use proptest::prelude::*;
+
+/// Random cases per property: `PROPTEST_CASES`, else 24.
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(24)
+}
 
 /// Splitmix64 — a tiny deterministic generator so each case derives its
 /// whole random grid from one proptest-supplied seed.
@@ -58,7 +74,7 @@ fn random_rhs(n: usize, mix: &mut Mix) -> Vec<f64> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     /// On any SPD grid stamp the LDLᵀ solution must agree with the
     /// Gilbert–Peierls LU solution to 1e-9 relative.
@@ -159,4 +175,313 @@ fn spd_stamps_take_the_cholesky_path() {
             "residual at node {k}: {lhs} vs {rhs}"
         );
     }
+}
+
+/// The sparsity structure of a random SPD system: couplings between
+/// node pairs (repeats allowed — their stamps sum) over `n` nodes.
+struct Network {
+    n: usize,
+    edges: Vec<(usize, usize)>,
+}
+
+impl Network {
+    /// A `rows × cols` grid with Dirichlet holes: about one node in six
+    /// is pinned and eliminated, so its couplings only add to the
+    /// diagonal of the kept neighbour.
+    fn holey_grid(rows: usize, cols: usize, mix: &mut Mix) -> (Self, Vec<usize>) {
+        let kept: Vec<bool> = (0..rows * cols)
+            .map(|_| !mix.next_u64().is_multiple_of(6))
+            .collect();
+        let mut index = vec![usize::MAX; rows * cols];
+        let mut n = 0;
+        for (i, _) in kept.iter().enumerate().filter(|(_, &k)| k) {
+            index[i] = n;
+            n += 1;
+        }
+        let (mut edges, mut pinned) = (Vec::new(), Vec::new());
+        for r in 0..rows {
+            for c in 0..cols {
+                let here = r * cols + c;
+                let right = (c + 1 < cols).then_some(here + 1);
+                let down = (r + 1 < rows).then_some(here + cols);
+                for there in [right, down].into_iter().flatten() {
+                    match (kept[here], kept[there]) {
+                        (true, true) => edges.push((index[here], index[there])),
+                        (true, false) => pinned.push(index[here]),
+                        (false, true) => pinned.push(index[there]),
+                        (false, false) => {}
+                    }
+                }
+            }
+        }
+        (Self { n, edges }, pinned)
+    }
+
+    /// A random sparse graph: each node couples to up to three random
+    /// others, so fill and supernodes come out irregular.
+    fn random_graph(n: usize, mix: &mut Mix) -> Self {
+        let mut edges = Vec::new();
+        for a in 0..n {
+            for _ in 0..mix.next_u64() % 4 {
+                let b = (mix.next_u64() % n as u64) as usize;
+                if b != a {
+                    edges.push((a, b));
+                }
+            }
+        }
+        Self { n, edges }
+    }
+
+    /// A forest of chains with branches, extra roots and isolated
+    /// nodes: no fill, width-1 supernodes, several children per front.
+    fn forest(n: usize, mix: &mut Mix) -> Self {
+        let mut edges = Vec::new();
+        for i in 1..n {
+            match mix.next_u64() % 10 {
+                0 | 1 => {} // an isolated node or a new root
+                2 | 3 => edges.push(((mix.next_u64() % i as u64) as usize, i)),
+                _ => edges.push((i - 1, i)),
+            }
+        }
+        Self { n, edges }
+    }
+
+    /// One of the three shapes with about `size` nodes.
+    fn of_shape(shape: usize, size: usize, mix: &mut Mix) -> (Self, Vec<usize>) {
+        match shape {
+            0 => {
+                let rows = 1 + (mix.next_u64() % 17) as usize;
+                let cols = size.div_ceil(rows).clamp(1, 17);
+                Self::holey_grid(rows, cols, mix)
+            }
+            1 => (Self::random_graph(size, mix), Vec::new()),
+            _ => (Self::forest(size, mix), Vec::new()),
+        }
+    }
+
+    /// Stamps an SPD matrix on this pattern with values drawn from
+    /// `mix`: couplings of either sign, a diagonal that dominates them,
+    /// and a positive leak on every node (plus the pinned neighbours'
+    /// conductances). The stamping order depends only on the pattern.
+    fn stamps(&self, pinned: &[usize], mix: &mut Mix) -> Vec<(usize, usize, f64)> {
+        let mut out = Vec::new();
+        for i in 0..self.n {
+            out.push((i, i, mix.in_range(1.0e-3, 1.0)));
+        }
+        for &i in pinned {
+            out.push((i, i, mix.in_range(0.1, 10.0)));
+        }
+        for &(a, b) in &self.edges {
+            let g = mix.in_range(0.1, 10.0)
+                * if mix.next_u64().is_multiple_of(2) {
+                    1.0
+                } else {
+                    -1.0
+                };
+            out.extend([(a, a, g.abs()), (b, b, g.abs()), (a, b, -g), (b, a, -g)]);
+        }
+        out
+    }
+}
+
+fn sparse_of(n: usize, stamps: &[(usize, usize, f64)]) -> SparseMatrix {
+    let mut m = SparseMatrix::zeros(n);
+    for &(r, c, v) in stamps {
+        m.add(r, c, v);
+    }
+    m
+}
+
+/// The dense-LU oracle: `A⁻¹·b` through [`Matrix::solve`] (a holey grid
+/// can pin every node, and the dense LU has no empty case).
+fn dense_solve(n: usize, stamps: &[(usize, usize, f64)], b: &[f64]) -> Vec<f64> {
+    if n == 0 {
+        return Vec::new();
+    }
+    let mut m = Matrix::zeros(n, n);
+    for &(r, c, v) in stamps {
+        m.add(r, c, v);
+    }
+    m.solve(b).expect("SPD stamps are nonsingular")
+}
+
+/// `max |x − y| / max(1, max |y|)`.
+fn rel_diff(x: &[f64], y: &[f64]) -> f64 {
+    let scale = y.iter().fold(1.0_f64, |s, v| s.max(v.abs()));
+    x.iter()
+        .zip(y)
+        .map(|(a, b)| (a - b).abs())
+        .fold(0.0, f64::max)
+        / scale
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+    /// A fresh factor and a refactor with new values on the same
+    /// pattern both solve to the dense LU answer within 1e-10 relative,
+    /// on holey grids, random graphs and forests of 1 to 300 nodes.
+    #[test]
+    fn factor_and_refactor_match_dense_lu(
+        shape in 0_usize..3,
+        size in 1_usize..300,
+        seed in 0_u64..u64::MAX,
+    ) {
+        let mut mix = Mix(seed);
+        let (net, pinned) = Network::of_shape(shape, size, &mut mix);
+        let n = net.n;
+        let first = net.stamps(&pinned, &mut mix);
+        let second = net.stamps(&pinned, &mut mix);
+        let b = random_rhs(n, &mut mix);
+
+        let mut f = sparse_of(n, &first).factor_cholesky().expect("SPD by construction");
+        let err = rel_diff(&f.solve(&b), &dense_solve(n, &first, &b));
+        prop_assert!(err <= 1e-10, "factor: n = {n}, shape {shape}, error {err:e}");
+
+        f.refactor(&sparse_of(n, &second)).expect("same pattern, still SPD");
+        let err = rel_diff(&f.solve(&b), &dense_solve(n, &second, &b));
+        prop_assert!(err <= 1e-10, "refactor: n = {n}, shape {shape}, error {err:e}");
+    }
+
+    /// The symbolic phase's pattern of L equals the one dense boolean
+    /// elimination of `P·A·Pᵀ` produces, and every supernode's columns
+    /// share the below-block rows of its last column.
+    #[test]
+    fn symbolic_pattern_matches_dense_elimination(
+        shape in 0_usize..3,
+        size in 1_usize..60,
+        seed in 0_u64..u64::MAX,
+    ) {
+        let mut mix = Mix(seed);
+        let (net, pinned) = Network::of_shape(shape, size, &mut mix);
+        let n = net.n;
+        let stamps = net.stamps(&pinned, &mut mix);
+        let f = sparse_of(n, &stamps).factor_cholesky().expect("SPD by construction");
+
+        // Dense boolean elimination in pivot order.
+        let mut pinv = vec![0; n];
+        for (k, &p) in f.ordering().iter().enumerate() {
+            pinv[p as usize] = k;
+        }
+        let mut filled = vec![vec![false; n]; n];
+        for &(r, c, _) in &stamps {
+            filled[pinv[r]][pinv[c]] = true;
+        }
+        for k in 0..n {
+            let below: Vec<usize> = (k + 1..n).filter(|&i| filled[i][k]).collect();
+            for &i in &below {
+                for &j in &below {
+                    filled[i][j] = true;
+                }
+            }
+        }
+        let (ptr, rows) = (f.l_col_ptr(), f.l_row_indices());
+        prop_assert_eq!(ptr.len(), n + 1);
+        for k in 0..n {
+            let want: Vec<u32> = (k + 1..n).filter(|&i| filled[i][k]).map(|i| i as u32).collect();
+            prop_assert_eq!(&rows[ptr[k]..ptr[k + 1]], &want[..], "column {}", k);
+        }
+
+        let sn = f.supernodes();
+        prop_assert_eq!(sn.first().copied().unwrap_or(0), 0);
+        prop_assert_eq!(sn.last().copied().unwrap_or(0), n);
+        for w in sn.windows(2) {
+            prop_assert!(w[0] < w[1], "empty supernode {:?}", w);
+            let last = w[1] - 1;
+            let shared = &rows[ptr[last]..ptr[last + 1]];
+            for c in w[0]..w[1] {
+                let col = &rows[ptr[c]..ptr[c + 1]];
+                let in_block: Vec<u32> = (c + 1..w[1]).map(|i| i as u32).collect();
+                prop_assert_eq!(&col[..in_block.len()], &in_block[..], "column {}", c);
+                prop_assert_eq!(&col[in_block.len()..], shared, "column {}", c);
+            }
+        }
+    }
+}
+
+/// A path network of `n` nodes (no fill: `L` has exactly A's pattern).
+fn chain(n: usize) -> Network {
+    Network {
+        n,
+        edges: (1..n).map(|i| (i - 1, i)).collect(),
+    }
+}
+
+#[test]
+fn refactor_with_a_stamp_outside_the_pattern_is_singular() {
+    let net = chain(40);
+    let mut mix = Mix(7);
+    let base = net.stamps(&[], &mut mix);
+    let mut f = sparse_of(40, &base).factor_cholesky().unwrap();
+    // Couple the two ends: no path node has both in its column of L.
+    let mut drifted = base.clone();
+    drifted.extend([(0, 0, 1.0), (39, 39, 1.0), (0, 39, -1.0), (39, 0, -1.0)]);
+    assert!(matches!(
+        f.refactor(&sparse_of(40, &drifted)),
+        Err(CircuitError::Singular { .. })
+    ));
+    // The failed refactor leaves NaN behind rather than a stale answer;
+    // a good refactor brings the factor back.
+    assert!(f.solve(&vec![1.0; 40]).iter().all(|v| v.is_nan()));
+    f.refactor(&sparse_of(40, &base)).unwrap();
+    let b = vec![1.0; 40];
+    assert!(rel_diff(&f.solve(&b), &dense_solve(40, &base, &b)) <= 1e-10);
+}
+
+/// Symmetric, positive diagonal, but indefinite: nodes 0 and 1 couple
+/// more strongly than their diagonals allow.
+fn indefinite(base: &[(usize, usize, f64)]) -> Vec<(usize, usize, f64)> {
+    let mut out = base.to_vec();
+    out.extend([(0, 1, -50.0), (1, 0, -50.0)]);
+    out
+}
+
+#[test]
+fn indefinite_values_are_not_positive_definite() {
+    let net = chain(40);
+    let base = net.stamps(&[], &mut Mix(11));
+    let bad = sparse_of(40, &indefinite(&base));
+    assert!(
+        bad.is_spd_candidate(),
+        "the screen cannot see indefiniteness"
+    );
+    assert!(matches!(
+        bad.factor_cholesky(),
+        Err(CircuitError::NotPositiveDefinite { .. })
+    ));
+    let mut f = sparse_of(40, &base).factor_cholesky().unwrap();
+    assert!(matches!(
+        f.refactor(&bad),
+        Err(CircuitError::NotPositiveDefinite { .. })
+    ));
+}
+
+#[test]
+fn mna_refactor_recovers_from_both_errors_by_redispatching() {
+    let n = 40;
+    let net = chain(n);
+    let base = net.stamps(&[], &mut Mix(13));
+    let mna = |stamps: &[(usize, usize, f64)]| {
+        let mut m = MnaMatrix::sparse(n);
+        for &(r, c, v) in stamps {
+            m.add(r, c, v);
+        }
+        m
+    };
+    let b = random_rhs(n, &mut Mix(17));
+    let mut f = mna(&base).factor().unwrap();
+    assert_eq!(f.path(), SolverPath::SparseCholesky);
+
+    // Drifted pattern: the in-place refactor fails, a fresh LDLᵀ serves.
+    let mut drifted = base.clone();
+    drifted.extend([(0, 0, 1.0), (39, 39, 1.0), (0, 39, -1.0), (39, 0, -1.0)]);
+    f.refactor(&mna(&drifted)).unwrap();
+    assert_eq!(f.path(), SolverPath::SparseCholesky);
+    assert!(rel_diff(&f.solve(&b), &dense_solve(n, &drifted, &b)) <= 1e-10);
+
+    // Indefinite values: no LDLᵀ exists, the pivoting LU serves.
+    let bad = indefinite(&drifted);
+    f.refactor(&mna(&bad)).unwrap();
+    assert_eq!(f.path(), SolverPath::SparseLu);
+    assert!(rel_diff(&f.solve(&b), &dense_solve(n, &bad, &b)) <= 1e-10);
 }

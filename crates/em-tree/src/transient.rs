@@ -13,11 +13,14 @@
 //! ```
 //!
 //! is SPD, so [`hotwire_circuit::solver::MnaMatrix`] routes it to the
-//! shared sparse LDLᵀ (or dense Cholesky for small meshes); the
-//! factorization is reused across every step taken at the same Δt. A
-//! geometric block-doubling Δt schedule covers the ~10-decade span from
-//! the early `√t` stress build-up to ten-year horizons with a handful
-//! of refactorizations.
+//! shared sparse LDLᵀ (or dense LU for small meshes); the factorization
+//! is reused across every step taken at the same Δt. A geometric
+//! block-doubling Δt schedule covers the ~10-decade span from the early
+//! `√t` stress build-up to ten-year horizons with a handful of
+//! refactorizations. Between blocks only the M/Δt diagonal changes, so
+//! the system is restamped and refactored numerically on the kept
+//! ordering and symbolic analysis; only void nucleation, which removes
+//! a node and so changes the sparsity pattern, factors afresh.
 //!
 //! Two-point flux is exact for piecewise-linear profiles, so the FV
 //! steady state matches the continuum steady state at the nodes to
@@ -147,9 +150,23 @@ pub struct KorhonenSolver {
     steps: usize,
     peak_tensile: f64,
     void: Option<VoidState>,
-    /// Cached factorization: (Δt it was built for, void node it
-    /// eliminated, unknown map, factors).
-    factored: Option<(f64, Option<usize>, Vec<isize>, MnaFactorization)>,
+    /// The factored FV system, kept across Δt blocks and restamps while
+    /// its sparsity pattern (the void node) stays the same.
+    factored: Option<Factored>,
+}
+
+/// A factorization of `M/Δt + K` and what it was built for.
+#[derive(Debug)]
+struct Factored {
+    /// Δt the numeric values were stamped for; `None` once an
+    /// operating-point restamp has made them stale.
+    dt: Option<f64>,
+    /// The void node eliminated as a σ = 0 Dirichlet site — it fixes the
+    /// sparsity pattern.
+    void_node: Option<usize>,
+    /// Mesh node → unknown index, −1 for the eliminated void node.
+    map: Vec<isize>,
+    factors: MnaFactorization,
 }
 
 impl KorhonenSolver {
@@ -283,63 +300,59 @@ impl KorhonenSolver {
             e.w = kappa * area / h;
             e.src = kappa * area * wind;
         }
-        self.factored = None;
+        // Same pattern, new values: the next step restamps and refactors.
+        if let Some(f) = &mut self.factored {
+            f.dt = None;
+        }
         Ok(())
     }
 
+    /// Makes `factored` hold `M/Δt + K` for the current void state. While
+    /// the void node is unchanged only the values move (the M/Δt
+    /// diagonal, or restamped operating points), so the system is
+    /// restamped and numerically refactored on the kept ordering and
+    /// symbolic analysis. A new void node changes the pattern and gets a
+    /// fresh factorization.
     fn ensure_factored(&mut self, dt: f64) -> Result<(), TreeEmError> {
         let void_node = self.void.as_ref().map(|v| v.mesh_node);
-        if let Some((fdt, fvoid, _, _)) = &self.factored {
-            if *fdt == dt && *fvoid == void_node {
-                return Ok(());
-            }
-        }
-        let n_mesh = self.stress.len();
-        // Map mesh nodes to unknowns, eliminating the Dirichlet void
-        // node (σ pinned to 0 there).
-        let mut map = vec![0isize; n_mesh];
-        let mut n_unknown = 0usize;
-        for (i, m) in map.iter_mut().enumerate() {
-            if Some(i) == void_node {
-                *m = -1;
-            } else {
-                *m = n_unknown as isize;
-                n_unknown += 1;
-            }
-        }
-        let mut matrix = MnaMatrix::auto(n_unknown);
-        for (i, &v) in self.volume.iter().enumerate() {
-            if map[i] >= 0 {
-                let u = map[i] as usize;
-                matrix.add(u, u, v / dt);
-            }
-        }
-        for e in &self.edges {
-            let (ua, ub) = (map[e.a], map[e.b]);
-            match (ua >= 0, ub >= 0) {
-                (true, true) => {
-                    let (ua, ub) = (ua as usize, ub as usize);
-                    matrix.add(ua, ua, e.w);
-                    matrix.add(ub, ub, e.w);
-                    matrix.add(ua, ub, -e.w);
-                    matrix.add(ub, ua, -e.w);
+        match &mut self.factored {
+            Some(f) if f.void_node == void_node => {
+                if f.dt == Some(dt) {
+                    return Ok(());
                 }
-                // One end pinned to σ = 0: only the live end's
-                // diagonal survives (the coupling term carries a zero).
-                (true, false) => matrix.add(ua as usize, ua as usize, e.w),
-                (false, true) => matrix.add(ub as usize, ub as usize, e.w),
-                (false, false) => {}
+                let matrix = stamp_system(&self.volume, &self.edges, &f.map, dt);
+                f.factors.refactor(&matrix)?;
+                f.dt = Some(dt);
+            }
+            _ => {
+                // Map mesh nodes to unknowns, eliminating the Dirichlet
+                // void node (σ pinned to 0 there).
+                let mut map = vec![0isize; self.stress.len()];
+                let mut n_unknown = 0isize;
+                for (i, m) in map.iter_mut().enumerate() {
+                    if Some(i) == void_node {
+                        *m = -1;
+                    } else {
+                        *m = n_unknown;
+                        n_unknown += 1;
+                    }
+                }
+                let factors = stamp_system(&self.volume, &self.edges, &map, dt).factor()?;
+                self.factored = Some(Factored {
+                    dt: Some(dt),
+                    void_node,
+                    map,
+                    factors,
+                });
             }
         }
-        let factors = matrix.factor()?;
         metrics::counter("em.stress.factorizations").inc();
-        self.factored = Some((dt, void_node, map, factors));
         Ok(())
     }
 
     /// One backward-Euler step at Δt; assumes `ensure_factored(dt)` ran.
     fn step(&mut self, dt: f64) -> Result<(), TreeEmError> {
-        let Some((_, _, map, factors)) = &self.factored else {
+        let Some(Factored { map, factors, .. }) = &self.factored else {
             return Err(TreeEmError::InvalidParameter {
                 message: "internal: step() before factorization".into(),
             });
@@ -455,7 +468,7 @@ impl KorhonenSolver {
                     volume: 0.0,
                 });
                 self.stress[at] = 0.0;
-                self.factored = None; // pattern changed: refactor lazily
+                self.factored = None; // pattern changed: factor afresh
                 metrics::counter("em.stress.nucleations").inc();
                 recorder::record(
                     "em.nucleation",
@@ -516,21 +529,27 @@ impl KorhonenSolver {
     /// Propagates FV solve failures ([`TreeEmError::Circuit`]).
     pub fn run_to_failure(&mut self) -> Result<TransientOutcome, TreeEmError> {
         let _t = hotwire_obs::trace::span("em.stress.transient_time");
-        let b = self.options.blocks;
-        let s = self.options.steps_per_block;
-        // Σ s·dt0·2^k over blocks = horizon ⇒ dt0:
-        let dt0 = self.options.horizon.value() / (s as f64 * ((1u64 << b) - 1) as f64);
         let mut nucleation = None;
         let mut failure = None;
         let steps_before = self.steps;
-        for k in 0..b {
-            let dt = dt0 * (1u64 << k) as f64;
-            if self.march(dt, s, &mut nucleation, &mut failure)? {
+        for k in 0..self.options.blocks {
+            let dt = self.block_dt(k);
+            let steps = self.options.steps_per_block;
+            if self.march(dt, steps, &mut nucleation, &mut failure)? {
                 break;
             }
         }
         metrics::counter("em.stress.transient_steps").add((self.steps - steps_before) as u64);
         Ok(self.outcome(nucleation, failure))
+    }
+
+    /// Δt of block `k` in the doubling schedule: Σ s·dt0·2^k over the
+    /// blocks spans the horizon.
+    fn block_dt(&self, k: usize) -> f64 {
+        let b = self.options.blocks;
+        let s = self.options.steps_per_block;
+        let dt0 = self.options.horizon.value() / (s as f64 * ((1u64 << b) - 1) as f64);
+        dt0 * (1u64 << k) as f64
     }
 
     /// Advances a uniform-Δt window from the current state — the aging
@@ -559,6 +578,36 @@ impl KorhonenSolver {
         metrics::counter("em.stress.transient_steps").add((self.steps - steps_before) as u64);
         Ok(self.outcome(nucleation, failure))
     }
+}
+
+/// Stamps `M/Δt + K` over the unknowns of `map` (−1 marks the σ = 0
+/// void node, eliminated).
+fn stamp_system(volume: &[f64], edges: &[MeshEdge], map: &[isize], dt: f64) -> MnaMatrix {
+    let n_unknown = map.iter().filter(|&&m| m >= 0).count();
+    let mut matrix = MnaMatrix::auto(n_unknown);
+    for (&v, &u) in volume.iter().zip(map) {
+        if u >= 0 {
+            matrix.add(u as usize, u as usize, v / dt);
+        }
+    }
+    for e in edges {
+        let (ua, ub) = (map[e.a], map[e.b]);
+        match (ua >= 0, ub >= 0) {
+            (true, true) => {
+                let (ua, ub) = (ua as usize, ub as usize);
+                matrix.add(ua, ua, e.w);
+                matrix.add(ub, ub, e.w);
+                matrix.add(ua, ub, -e.w);
+                matrix.add(ub, ua, -e.w);
+            }
+            // One end pinned to σ = 0: only the live end's
+            // diagonal survives (the coupling term carries a zero).
+            (true, false) => matrix.add(ua as usize, ua as usize, e.w),
+            (false, true) => matrix.add(ub as usize, ub as usize, e.w),
+            (false, false) => {}
+        }
+    }
+    matrix
 }
 
 /// Runs each tree's transient to failure, optionally in parallel.
@@ -679,6 +728,59 @@ mod tests {
                 (a.value() - b.value()).abs() <= 1e-6 * a.value().abs().max(1.0),
                 "split-window mismatch: {a} vs {b}"
             );
+        }
+    }
+
+    #[test]
+    fn refactor_across_blocks_matches_fresh_factors_bitwise() {
+        // 24 segments × 8 volumes = 193 unknowns: above the sparse
+        // crossover, so every block after the first refactors the LDLᵀ.
+        let model = crate::model::KorhonenModel::copper().unwrap();
+        let line = hot_line(4.0, 300.0, 24);
+        let l_total = line.total_length().value();
+        let kappa = model.kappa(Kelvin::new(573.15));
+        let opts = TransientOptions::for_horizon(Seconds::new(50.0 * l_total * l_total / kappa));
+
+        let mut reused = KorhonenSolver::new(&line, &model, opts).unwrap();
+        let a = reused.run_to_failure().unwrap();
+        assert!(a.nucleation_time.is_some(), "the test tree must be mortal");
+        let path = reused.factored.as_ref().map(|f| f.factors.path());
+        assert_eq!(
+            path,
+            Some(hotwire_circuit::solver::SolverPath::SparseCholesky)
+        );
+
+        // The old behaviour: a fresh factorization at every block.
+        let mut fresh = KorhonenSolver::new(&line, &model, opts).unwrap();
+        let (mut nucleation, mut failure) = (None, None);
+        for k in 0..opts.blocks {
+            fresh.factored = None;
+            let dt = fresh.block_dt(k);
+            if fresh
+                .march(dt, opts.steps_per_block, &mut nucleation, &mut failure)
+                .unwrap()
+            {
+                break;
+            }
+        }
+        let b = fresh.outcome(nucleation, failure);
+
+        let bits = |t: Option<Seconds>| t.map(|t| t.value().to_bits());
+        assert_eq!(bits(a.nucleation_time), bits(b.nucleation_time));
+        assert_eq!(bits(a.failure_time), bits(b.failure_time));
+        assert_eq!(a.nucleation_node, b.nucleation_node);
+        assert_eq!(
+            a.void_length.value().to_bits(),
+            b.void_length.value().to_bits()
+        );
+        assert_eq!(
+            a.peak_tensile.value().to_bits(),
+            b.peak_tensile.value().to_bits()
+        );
+        assert_eq!(a.simulated.value().to_bits(), b.simulated.value().to_bits());
+        assert_eq!(a.steps, b.steps);
+        for (x, y) in reused.node_stress().iter().zip(fresh.node_stress()) {
+            assert_eq!(x.value().to_bits(), y.value().to_bits());
         }
     }
 
