@@ -256,28 +256,21 @@ impl DcGridSolver {
                     self.rhs[u] -= self.sinks[node];
                 }
             }
-            let mut sample_cond = false;
-            match &mut self.factorization {
+            let (f, sample_cond) = match &mut self.factorization {
                 Some(f) => {
                     f.refactor(&self.matrix)?;
                     self.refactors_since_cond += 1;
-                    if self.refactors_since_cond >= COND_RESAMPLE_INTERVAL {
-                        sample_cond = true;
-                    }
+                    (&*f, self.refactors_since_cond >= COND_RESAMPLE_INTERVAL)
                 }
                 None => {
-                    self.factorization = Some(if self.lu_only {
+                    let fresh = if self.lu_only {
                         self.matrix.factor_lu()?
                     } else {
                         self.matrix.factor()?
-                    });
-                    sample_cond = true;
+                    };
+                    (&*self.factorization.insert(fresh), true)
                 }
-            }
-            let f = self
-                .factorization
-                .as_ref()
-                .expect("factorization installed above");
+            };
             f.solve_into(&self.rhs, &mut self.reduced);
             if sample_cond {
                 // First factorization of a pattern, or every

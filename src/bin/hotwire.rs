@@ -51,8 +51,9 @@ use hotwire::thermal::impedance::{InsulatorStack, LineGeometry, QUASI_2D_PHI};
 use hotwire::units::{Celsius, CurrentDensity, Length, Seconds};
 
 /// Graceful-shutdown plumbing for `hotwire serve`: SIGINT/SIGTERM set a
-/// flag the accept loop polls, so the process drains in-flight requests
-/// and exits 0 instead of dying mid-response.
+/// flag that the server's control thread polls; it then wakes the
+/// workers blocked in `accept()`, lets them finish their requests in
+/// flight, and the process exits 0 instead of dying mid-response.
 ///
 /// Installed with the raw C `signal(2)` — the workspace has no `libc`
 /// crate (offline build), and the two constants below are part of the
@@ -79,14 +80,14 @@ mod shutdown {
     extern "C" fn on_signal(_signum: i32) {
         // Only the async-signal-safe store; everything else reacts to it.
         // SAFETY(ordering): SeqCst store from a signal handler — the
-        // polling loop must observe it, and handlers run rarely enough
-        // that the fence cost is irrelevant.
+        // server's control thread must observe it, and handlers run
+        // rarely enough that the fence cost is irrelevant.
         flag_cell().store(true, Ordering::SeqCst);
     }
 
     extern "C" fn on_usr1(_signum: i32) {
-        // Again only an atomic store: the serve accept loop polls this
-        // flag and writes the diagnostic bundle outside the handler.
+        // Again only an atomic store: the server's control thread polls
+        // this flag and writes the diagnostic bundle outside the handler.
         // SAFETY(ordering): same as on_signal — SeqCst store, polled
         // outside the handler, no surrounding data to order against.
         hotwire::serve::dump_flag().store(true, Ordering::SeqCst);
@@ -500,7 +501,7 @@ fn print_help() {
                      [--metal cu|alcu] [--temp-c <T>] [--horizon-years <y>]\n\
                      [--steady-only true] [--sigma <s>] [--quantile <f>]\n\
            serve     HTTP observability endpoint (blocks until SIGTERM/ctrl-c)\n\
-                     [--addr <ip:port>] [--threads <n>] plus the\n\
+                     [--addr <ip:port>] [--threads <1-256>] plus the\n\
                      coupled-signoff grid flags (template for POST /signoff);\n\
                      serves GET /metrics (Prometheus 0.0.4), GET /healthz,\n\
                      POST /signoff (optional JSON body {{\"rows\": n, \"cols\": n}})\n\
@@ -1146,10 +1147,29 @@ fn cmd_tree_signoff(opts: &Flags) -> Result<(), CliError> {
     Ok(())
 }
 
+/// Most worker threads `hotwire serve --threads` accepts.
+const MAX_SERVE_THREADS: usize = 256;
+
+/// `--threads`: an integer in 1..=[`MAX_SERVE_THREADS`] (default 4).
+/// Anything else — `0`, `-3`, `2.5`, `nan`, `1e9` — is a usage error.
+fn parse_threads(opts: &Flags) -> Result<usize, CliError> {
+    match opts.get("threads") {
+        None => Ok(4),
+        Some(v) => v
+            .parse::<usize>()
+            .ok()
+            .filter(|n| (1..=MAX_SERVE_THREADS).contains(n))
+            .ok_or_else(|| {
+                CliError::usage(format!(
+                    "--threads: `{v}` is not an integer in [1, {MAX_SERVE_THREADS}]"
+                ))
+            }),
+    }
+}
+
 fn cmd_serve(opts: &Flags) -> Result<(), CliError> {
     let addr = flag_or(opts, "addr", "127.0.0.1:9184");
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    let threads = parse_f64(opts, "threads", 4.0)? as usize;
+    let threads = parse_threads(opts)?;
     // The per-request signoff grid defaults small (20×20) so a scrape
     // burst cannot wedge the server behind multi-second solves.
     let (spec, options) = coupled_setup(opts, 20.0)?;

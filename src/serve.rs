@@ -6,19 +6,23 @@
 //!
 //! * `GET /metrics` — the process-wide registry in Prometheus
 //!   text-exposition format 0.0.4 ([`hotwire_obs::prom`]).
-//! * `GET /healthz` — liveness; `200 ok` whenever the accept loop runs.
+//! * `GET /healthz` — liveness; `200 ok` whenever a worker is free.
 //! * `POST /signoff` — runs one coupled EM–IR–thermal signoff on the
 //!   server's template grid (optionally overridden by a JSON body with
 //!   `rows`/`cols`) and returns a JSON verdict. Each request exercises
 //!   the real engine, so scraping `/metrics` during a load burst shows
 //!   the solver's latency distribution, not synthetic numbers.
 //!
-//! The implementation is std-only: a nonblocking [`TcpListener`] accept
-//! loop that polls a shutdown flag (so SIGTERM/ctrl-c can stop it
-//! between accepts) and hands connections to a small fixed thread pool
-//! over an [`mpsc`] channel. HTTP support is the minimal correct subset:
-//! one request per connection, `Connection: close` semantics, bodies up
-//! to [`MAX_REQUEST_BYTES`].
+//! The implementation is std-only. Each of the `threads` workers blocks
+//! in `accept()` on one shared [`TcpListener`] and handles the
+//! connection it gets, so a request never waits on a poll or a hand-off
+//! between threads. The thread that called [`Server::run`] keeps a
+//! [`CONTROL_POLL`] cadence for the work that is never on a request
+//! path: it writes SIGUSR1 bundles, and once the shutdown flag is set it
+//! wakes each blocked worker with a loopback connect and joins it. HTTP
+//! support is the minimal correct subset: one request per connection,
+//! `Connection: close` semantics, bodies up to [`MAX_REQUEST_BYTES`],
+//! the whole request within [`READ_TIMEOUT`].
 //!
 //! Every response carries a process-unique `X-Hotwire-Request-Id`
 //! header. The same ID tags the request's root `serve.request` span
@@ -27,34 +31,38 @@
 //! can be matched to the server-side diagnostics it produced.
 
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use hotwire_coupled::{CoupledEngine, CoupledError, CoupledGridSpec, CoupledOptions};
 use hotwire_obs::json::Json;
 use hotwire_obs::trace::{self, FieldValue, Level};
-use hotwire_obs::{metrics, prom, recorder};
+use hotwire_obs::{metrics, prom, recorder, Stopwatch};
 
 /// Hard cap on a request (start line + headers + body); larger
 /// requests are answered `413` and the connection dropped.
 pub const MAX_REQUEST_BYTES: usize = 64 * 1024;
 
-/// How long the accept loop sleeps when no connection is pending
-/// before re-checking the shutdown flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
+/// How often the thread that called [`Server::run`] checks the shutdown
+/// and dump flags. Workers never wait on it.
+const CONTROL_POLL: Duration = Duration::from_millis(25);
 
-/// Per-connection socket read timeout, so a stalled client cannot pin
-/// a worker forever.
+/// Deadline for reading a whole request, so a stalled or trickling
+/// client cannot pin a worker; past it the client gets `408`.
 const READ_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Bound on each shutdown wake-up connect, so a listener that stopped
+/// completing handshakes cannot hang [`Server::run`].
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// What the server needs besides a socket: worker count and the
 /// signoff template a `POST /signoff` instantiates.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads handling accepted connections.
+    /// Worker threads, each accepting and handling connections.
     pub threads: usize,
     /// Grid template for per-request signoffs.
     pub spec: CoupledGridSpec,
@@ -79,9 +87,9 @@ impl ServeConfig {
 }
 
 /// Operator-requested bundle-dump flag: the CLI's SIGUSR1 handler sets
-/// it (an atomic store is async-signal-safe), and the accept loop polls
-/// it between accepts — the dump itself runs on the server thread, not
-/// in the handler.
+/// it (an atomic store is async-signal-safe), and [`Server::run`]'s
+/// control thread polls it — the dump itself runs there, not in the
+/// handler, and needs no request to arrive.
 static DUMP_REQUEST: AtomicBool = AtomicBool::new(false);
 
 /// The flag a SIGUSR1 handler should set to request a diagnostic
@@ -92,7 +100,7 @@ pub fn dump_flag() -> &'static AtomicBool {
 }
 
 /// A bound-but-not-yet-serving listener, so callers (and the e2e test)
-/// can learn the ephemeral port before the accept loop starts.
+/// can learn the ephemeral port before the workers start.
 #[derive(Debug)]
 pub struct Server {
     listener: TcpListener,
@@ -114,40 +122,46 @@ impl Server {
     /// # Errors
     ///
     /// Propagates the socket introspection failure.
-    pub fn local_addr(&self) -> io::Result<std::net::SocketAddr> {
+    pub fn local_addr(&self) -> io::Result<SocketAddr> {
         self.listener.local_addr()
     }
 
-    /// Serves until `shutdown` becomes `true`, then drains the worker
-    /// pool and returns. The flag is polled between accepts (every
-    /// [`ACCEPT_POLL`] at the latest), so a signal handler that only
-    /// sets the flag produces a graceful exit.
+    /// Serves until `shutdown` becomes `true`, then lets every worker
+    /// finish its request in flight and returns. The flag is checked
+    /// every [`CONTROL_POLL`], so a signal handler that only sets it
+    /// produces a graceful exit.
     ///
     /// # Errors
     ///
-    /// Returns the error that made the listener unusable; per-connection
-    /// I/O failures are counted (`serve.errors`) and do not stop the
-    /// loop.
+    /// Returns a worker's accept error (which also sets `shutdown`), a
+    /// failure to start a worker, or a failure to wake the workers on
+    /// shutdown — then without waiting for them. Per-connection I/O
+    /// failures are counted (`serve.errors`) and do not stop the server.
     pub fn run(self, config: &ServeConfig, shutdown: &Arc<AtomicBool>) -> io::Result<()> {
-        self.listener.set_nonblocking(true)?;
-        let (tx, rx) = mpsc::channel::<TcpStream>();
-        let rx = Arc::new(Mutex::new(rx));
+        let wake = wake_addr(self.listener.local_addr()?);
+        let listener = Arc::new(self.listener);
         let mut workers = Vec::new();
-        for _ in 0..config.threads.max(1) {
-            let rx = Arc::clone(&rx);
-            let config = config.clone();
-            workers.push(std::thread::spawn(move || loop {
-                // Holding the lock only for recv keeps hand-off fair.
-                let next = rx.lock().unwrap_or_else(|e| e.into_inner()).recv();
-                match next {
-                    Ok(stream) => handle_connection(stream, &config),
-                    Err(_) => break, // sender dropped: shutting down
+        for i in 0..config.threads.max(1) {
+            let (listener, config, stop) =
+                (Arc::clone(&listener), config.clone(), Arc::clone(shutdown));
+            let spawned = std::thread::Builder::new()
+                .name(format!("serve-worker-{i}"))
+                .spawn(move || accept_loop(&listener, &config, &stop));
+            match spawned {
+                Ok(worker) => workers.push(worker),
+                Err(e) => {
+                    // SAFETY(ordering): SeqCst store, the same flag and
+                    // protocol as the signal handler's.
+                    shutdown.store(true, Ordering::SeqCst);
+                    // The refused spawn is the error worth reporting.
+                    let _stopped = stop_workers(workers, wake);
+                    return Err(e);
                 }
-            }));
+            }
         }
-        // SAFETY(ordering): SeqCst load pairing with the signal
-        // handler's SeqCst store; the loop only needs to eventually
-        // observe the flag, and stronger-than-needed is fine here.
+        // SAFETY(ordering): SeqCst load pairing with the SeqCst stores of
+        // the signal handler and of a failing worker; the loop only needs
+        // to eventually observe the flag.
         while !shutdown.load(Ordering::SeqCst) {
             // SAFETY(ordering): swap is the whole protocol — the handler
             // stores true, exactly one poll observes and clears it.
@@ -160,7 +174,11 @@ impl Server {
                         None,
                         None,
                     ) {
-                        Ok(path) => println!("diagnostic bundle: {path}"),
+                        // Not `println!`: a closed stdout must not kill
+                        // the server.
+                        Ok(path) => {
+                            let _ = writeln!(io::stdout(), "diagnostic bundle: {path}");
+                        }
                         Err(_) => metrics::counter("serve.errors").inc(),
                     },
                     None => recorder::record(
@@ -169,31 +187,76 @@ impl Server {
                     ),
                 }
             }
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    if tx.send(stream).is_err() {
-                        break;
-                    }
+            std::thread::sleep(CONTROL_POLL);
+        }
+        stop_workers(workers, wake)
+    }
+}
+
+/// One worker: accepts and handles connections until it accepts one
+/// after `shutdown` is set (the wake-up connect from [`stop_workers`]),
+/// which it drops.
+fn accept_loop(
+    listener: &TcpListener,
+    config: &ServeConfig,
+    shutdown: &AtomicBool,
+) -> io::Result<()> {
+    loop {
+        match listener.accept() {
+            Ok((stream, _peer)) => {
+                // SAFETY(ordering): SeqCst load pairing with the stores
+                // that set the flag before the wake-up connect is made.
+                if shutdown.load(Ordering::SeqCst) {
+                    return Ok(());
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    drop(tx);
-                    for w in workers {
-                        let _ = w.join();
-                    }
-                    return Err(e);
-                }
+                handle_connection(stream, config, READ_TIMEOUT);
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => {
+                // SAFETY(ordering): SeqCst store, observed by the control
+                // thread's poll, which then stops the other workers.
+                shutdown.store(true, Ordering::SeqCst);
+                return Err(e);
             }
         }
-        drop(tx); // workers drain queued connections, then exit
-        for w in workers {
-            let _ = w.join();
-        }
-        Ok(())
     }
+}
+
+/// Where a shutdown wake-up connects: the bound address, with an
+/// unspecified IP (`0.0.0.0`, `::`) replaced by its loopback.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
+}
+
+/// With the shutdown flag set, connects once per worker so each blocked
+/// `accept()` returns, then joins them all. A worker busy with a request
+/// finishes it first and takes a queued connect afterwards.
+///
+/// Returns the first worker error. A connect that fails would leave a
+/// worker blocked for good, so it is returned at once, without joining.
+fn stop_workers(workers: Vec<JoinHandle<io::Result<()>>>, wake: SocketAddr) -> io::Result<()> {
+    // Held open until the joins, so every wake-up is still a live
+    // connection when a worker accepts it.
+    let _wakers = workers
+        .iter()
+        .map(|_| TcpStream::connect_timeout(&wake, WAKE_TIMEOUT))
+        .collect::<io::Result<Vec<_>>>()
+        .map_err(|e| {
+            io::Error::new(
+                e.kind(),
+                format!("cannot wake the serve workers through {wake}: {e}"),
+            )
+        })?;
+    workers
+        .into_iter()
+        // A panicked worker has already reported through the panic hook.
+        .filter_map(|worker| worker.join().ok())
+        .fold(Ok(()), io::Result::and)
 }
 
 /// A parsed-enough HTTP request: method, path, body.
@@ -249,6 +312,7 @@ impl Response {
             400 => "Bad Request",
             404 => "Not Found",
             405 => "Method Not Allowed",
+            408 => "Request Timeout",
             413 => "Payload Too Large",
             _ => "Internal Server Error",
         }
@@ -437,13 +501,11 @@ fn signoff_response(body: &[u8], config: &ServeConfig, request_id: &str) -> Resp
     }
 }
 
-/// Reads one request off the stream, routes it, writes the response,
-/// closes. Any protocol or I/O failure just counts an error — a broken
-/// client must not take the server down.
-fn handle_connection(stream: TcpStream, config: &ServeConfig) {
-    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-    let mut stream = stream;
-    let response = match read_request(&mut stream) {
+/// Reads one request off the stream (within `timeout`), routes it,
+/// writes the response, closes. Any protocol or I/O failure just counts
+/// an error — a broken client must not take the server down.
+fn handle_connection(mut stream: TcpStream, config: &ServeConfig, timeout: Duration) {
+    let response = match read_request(&mut stream, timeout) {
         Ok(request) => route(&request, config),
         Err(status) => {
             metrics::counter("serve.errors").inc();
@@ -457,7 +519,12 @@ fn handle_connection(stream: TcpStream, config: &ServeConfig) {
                     ("status", FieldValue::U64(u64::from(status))),
                 ],
             );
-            let mut response = Response::text(status, "bad request\n");
+            let body = if status == 408 {
+                "request timeout\n"
+            } else {
+                "bad request\n"
+            };
+            let mut response = Response::text(status, body);
             response.request_id = Some(request_id);
             response
         }
@@ -479,9 +546,11 @@ fn handle_connection(stream: TcpStream, config: &ServeConfig) {
         .and_then(|()| stream.flush());
 }
 
-/// Reads start line + headers + `Content-Length` body. Returns the
-/// HTTP status to answer with on failure.
-fn read_request(stream: &mut TcpStream) -> Result<Request, u16> {
+/// Reads start line + headers + `Content-Length` body, all of it within
+/// `timeout` of the call. Returns the HTTP status to answer with on
+/// failure: `408` past the deadline, `413` when too large, else `400`.
+fn read_request(stream: &mut TcpStream, timeout: Duration) -> Result<Request, u16> {
+    let clock = Stopwatch::start();
     let mut buf = Vec::with_capacity(1024);
     let mut chunk = [0_u8; 1024];
     let header_end = loop {
@@ -491,10 +560,7 @@ fn read_request(stream: &mut TcpStream) -> Result<Request, u16> {
         if buf.len() > MAX_REQUEST_BYTES {
             return Err(413);
         }
-        let n = stream.read(&mut chunk).map_err(|_| 400_u16)?;
-        if n == 0 {
-            return Err(400);
-        }
+        let n = read_before(stream, &mut chunk, &clock, timeout)?;
         buf.extend_from_slice(&chunk[..n]);
     };
     let head = std::str::from_utf8(&buf[..header_end]).map_err(|_| 400_u16)?;
@@ -517,14 +583,44 @@ fn read_request(stream: &mut TcpStream) -> Result<Request, u16> {
     }
     let mut body = buf[header_end + 4..].to_vec();
     while body.len() < content_length {
-        let n = stream.read(&mut chunk).map_err(|_| 400_u16)?;
-        if n == 0 {
-            return Err(400);
-        }
+        let n = read_before(stream, &mut chunk, &clock, timeout)?;
         body.extend_from_slice(&chunk[..n]);
     }
     body.truncate(content_length);
     Ok(Request { method, path, body })
+}
+
+/// One `read` that waits at most for what is left of the request
+/// deadline: each call re-arms the socket timeout with the remainder,
+/// so slow trickling cannot stretch the whole request past `timeout`.
+/// A peer that closes early is a `400`.
+fn read_before(
+    stream: &mut TcpStream,
+    chunk: &mut [u8],
+    clock: &Stopwatch,
+    timeout: Duration,
+) -> Result<usize, u16> {
+    loop {
+        let left = timeout.saturating_sub(clock.elapsed());
+        if left.is_zero() {
+            return Err(408);
+        }
+        stream.set_read_timeout(Some(left)).map_err(|_| 400_u16)?;
+        match stream.read(chunk) {
+            Ok(0) => return Err(400),
+            Ok(n) => return Ok(n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
+                return Err(408)
+            }
+            Err(_) => return Err(400),
+        }
+    }
 }
 
 /// Byte offset of the `\r\n\r\n` header terminator, if present.
@@ -534,6 +630,8 @@ fn find_header_end(buf: &[u8]) -> Option<usize> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::mpsc;
+
     use super::*;
 
     fn get(path: &str) -> Request {
@@ -685,5 +783,152 @@ mod tests {
         );
         let _ = std::fs::remove_file(&bundle_path);
         let _ = std::fs::remove_dir(&dir);
+    }
+
+    /// Connects to `addr`, writes `request`, and returns the whole reply.
+    fn exchange(addr: SocketAddr, request: &[u8]) -> String {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(request).unwrap();
+        let mut reply = String::new();
+        stream.read_to_string(&mut reply).unwrap();
+        reply
+    }
+
+    /// A loopback pair: a client that sends `request` one byte per
+    /// `gap`, and the server-side stream it connected to.
+    fn trickling_client(
+        request: &'static [u8],
+        gap: Duration,
+    ) -> (TcpStream, std::thread::JoinHandle<String>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let client = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            for byte in request {
+                std::thread::sleep(gap);
+                // The server may already have given up and closed.
+                if stream.write_all(std::slice::from_ref(byte)).is_err() {
+                    break;
+                }
+            }
+            let mut reply = String::new();
+            let _ = stream.read_to_string(&mut reply);
+            reply
+        });
+        let (server_side, _) = listener.accept().unwrap();
+        (server_side, client)
+    }
+
+    #[test]
+    fn read_deadline_covers_the_whole_request() {
+        // Every byte arrives well inside the deadline, but the request as
+        // a whole does not: a per-read timeout would wait for all of it.
+        let request = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n";
+        let (mut stream, client) = trickling_client(request, Duration::from_millis(30));
+        let clock = Stopwatch::start();
+        assert_eq!(
+            read_request(&mut stream, Duration::from_millis(200)),
+            Err(408)
+        );
+        let waited = clock.elapsed();
+        assert!(
+            waited >= Duration::from_millis(200) && waited < Duration::from_millis(900),
+            "gave up after {waited:?}"
+        );
+        drop(stream);
+        let _ = client.join();
+
+        // The same request sent at once reads fine under the same deadline.
+        let (mut stream, client) = trickling_client(request, Duration::ZERO);
+        let parsed = read_request(&mut stream, Duration::from_millis(200)).unwrap();
+        assert_eq!(
+            (parsed.method.as_str(), parsed.path.as_str()),
+            ("GET", "/healthz")
+        );
+        drop(stream);
+        let _ = client.join();
+    }
+
+    #[test]
+    fn a_stalled_request_is_answered_408() {
+        // The header block never ends, so only the deadline can end it.
+        let (stream, client) = trickling_client(b"POST /signoff HTTP/1.1\r\n", Duration::ZERO);
+        let errors_before = metrics::snapshot().counter("serve.errors");
+        handle_connection(stream, &small_config(), Duration::from_millis(100));
+        let reply = client.join().unwrap();
+        assert!(
+            reply.starts_with("HTTP/1.1 408 Request Timeout\r\n"),
+            "{reply:?}"
+        );
+        assert!(reply.contains("X-Hotwire-Request-Id: req-"), "{reply:?}");
+        if cfg!(feature = "telemetry") {
+            assert!(metrics::snapshot().counter("serve.errors") > errors_before);
+        }
+    }
+
+    #[test]
+    fn wake_addr_maps_unspecified_ips_to_loopback() {
+        for (bound, wake) in [
+            ("0.0.0.0:9184", "127.0.0.1:9184"),
+            ("[::]:9184", "[::1]:9184"),
+            ("10.1.2.3:80", "10.1.2.3:80"),
+        ] {
+            assert_eq!(wake_addr(bound.parse().unwrap()), wake.parse().unwrap());
+        }
+    }
+
+    /// Starts `threads` workers on `addr`, checks one request is served,
+    /// lets every worker settle into `accept()`, then requires `run` to
+    /// return `Ok` within 1 s of the shutdown flag.
+    fn run_stops_promptly(addr: &str, threads: usize) {
+        let server = Server::bind(addr).unwrap();
+        let target = wake_addr(server.local_addr().unwrap());
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let (done, finished) = mpsc::channel();
+        let worker_flag = Arc::clone(&shutdown);
+        let runner = std::thread::spawn(move || {
+            let config = ServeConfig {
+                threads,
+                ..small_config()
+            };
+            let _ = done.send(server.run(&config, &worker_flag));
+        });
+        let reply = exchange(target, b"GET /healthz HTTP/1.1\r\n\r\n");
+        assert!(reply.starts_with("HTTP/1.1 200 OK\r\n"), "{reply:?}");
+        std::thread::sleep(Duration::from_millis(100));
+        // SAFETY(ordering): SeqCst store, as the CLI's signal handler.
+        shutdown.store(true, Ordering::SeqCst);
+        let outcome = finished
+            .recv_timeout(Duration::from_secs(1))
+            .expect("run returns within 1 s of the shutdown flag");
+        assert!(outcome.is_ok(), "{outcome:?}");
+        runner.join().unwrap();
+    }
+
+    #[test]
+    fn run_returns_promptly_with_one_idle_worker() {
+        run_stops_promptly("127.0.0.1:0", 1);
+    }
+
+    #[test]
+    fn run_returns_promptly_with_four_idle_workers_on_an_unspecified_ip() {
+        run_stops_promptly("0.0.0.0:0", 4);
+    }
+
+    #[test]
+    fn a_failed_wake_returns_without_joining() {
+        // Nothing listens on a port whose listener was just dropped.
+        let refused = TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        let (release, blocked) = mpsc::channel::<()>();
+        let stuck = std::thread::spawn(move || {
+            let _ = blocked.recv();
+            Ok(())
+        });
+        let err = stop_workers(vec![stuck], refused).unwrap_err();
+        assert!(err.to_string().contains("cannot wake"), "{err}");
+        release.send(()).unwrap();
     }
 }

@@ -1,6 +1,7 @@
 //! End-to-end tests of the `hotwire` CLI binary.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 fn hotwire(args: &[&str]) -> (bool, String, String) {
     let (code, stdout, stderr) = hotwire_status(args);
@@ -314,6 +315,36 @@ fn exit_codes_distinguish_failure_classes() {
     ]);
     assert_eq!(code, Some(1), "unreadable input is internal: {stderr}");
     assert!(stderr.contains("caused by"), "chain reported: {stderr}");
+}
+
+#[test]
+fn serve_rejects_thread_counts_outside_one_to_256() {
+    for threads in ["0", "-3", "2.5", "nan", "1e9", "257"] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_hotwire"))
+            .args(["serve", "--addr", "127.0.0.1:0", "--threads", threads])
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        // A count that slipped through would start serving: stop it
+        // instead of hanging the test.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while child.try_wait().expect("wait works").is_none() {
+            if Instant::now() > deadline {
+                let _ = child.kill();
+                panic!("--threads {threads} started a server");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let out = child.wait_with_output().expect("output readable");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "--threads {threads} is a usage error: {stderr}"
+        );
+        assert!(stderr.contains("--threads"), "{stderr}");
+    }
 }
 
 #[test]

@@ -4,16 +4,19 @@
 //! `/healthz` over raw TCP (the workspace has no HTTP client, and the
 //! server speaks `Connection: close` one-shot HTTP/1.1 — a 60-line
 //! client below covers it), exercises `POST /signoff`, then sends
-//! SIGTERM and requires a graceful exit 0.
+//! SIGTERM and requires a graceful exit 0. Two more servers check that
+//! back-to-back requests wait on no accept poll and that SIGUSR1 writes
+//! a bundle with no request sent.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-/// Starts `hotwire serve` on port 0 with a tiny signoff grid and
-/// returns the child plus the bound address parsed from stdout.
-fn start_server() -> (Child, String) {
+/// Starts `hotwire serve` on port 0 with a tiny signoff grid (plus
+/// `extra` flags) and returns the child plus the bound address parsed
+/// from stdout.
+fn start_server(extra: &[&str]) -> (Child, String) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_hotwire"))
         .args([
             "serve",
@@ -26,6 +29,7 @@ fn start_server() -> (Child, String) {
             "--threads",
             "2",
         ])
+        .args(extra)
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
@@ -43,6 +47,8 @@ fn start_server() -> (Child, String) {
         .and_then(|rest| rest.split_whitespace().next())
         .unwrap_or_else(|| panic!("unparsable announcement: {first}"))
         .to_owned();
+    // Keep draining stdout, so the server never writes into a closed pipe.
+    std::thread::spawn(move || lines.for_each(drop));
     (child, addr)
 }
 
@@ -138,9 +144,37 @@ fn counter_value(text: &str, name: &str) -> f64 {
         .unwrap_or(0.0)
 }
 
+/// Sends the signal `name` (a `kill` name such as `TERM`) to the child.
+fn signal(child: &Child, name: &str) {
+    let sent = Command::new("kill")
+        .args([&format!("-{name}"), &child.id().to_string()])
+        .status()
+        .expect("kill runs");
+    assert!(sent.success(), "kill -{name} failed");
+}
+
+/// SIGTERM → graceful drain → exit 0, within 15 s.
+fn stop_gracefully(mut child: Child) {
+    signal(&child, "TERM");
+    let deadline = Instant::now() + Duration::from_secs(15);
+    let status = loop {
+        match child.try_wait().expect("wait works") {
+            Some(status) => break status,
+            None => {
+                assert!(
+                    Instant::now() < deadline,
+                    "server did not exit within 15 s of SIGTERM"
+                );
+                std::thread::sleep(Duration::from_millis(50));
+            }
+        }
+    };
+    assert_eq!(status.code(), Some(0), "graceful shutdown must exit 0");
+}
+
 #[test]
 fn serve_scrapes_signs_off_and_shuts_down_gracefully() {
-    let (mut child, addr) = start_server();
+    let (child, addr) = start_server(&[]);
 
     // /healthz answers 200 immediately.
     let (status, _, body) = get(&addr, "/healthz");
@@ -212,25 +246,71 @@ fn serve_scrapes_signs_off_and_shuts_down_gracefully() {
         );
     }
 
-    // SIGTERM → graceful drain → exit 0.
-    let pid = child.id().to_string();
-    let killed = Command::new("kill")
-        .args(["-TERM", &pid])
-        .status()
-        .expect("kill runs");
-    assert!(killed.success());
-    let deadline = Instant::now() + Duration::from_secs(15);
-    let status = loop {
-        match child.try_wait().expect("wait works") {
-            Some(status) => break status,
-            None => {
-                assert!(
-                    Instant::now() < deadline,
-                    "server did not exit within 15 s of SIGTERM"
-                );
-                std::thread::sleep(Duration::from_millis(50));
-            }
+    stop_gracefully(child);
+}
+
+#[test]
+fn sequential_requests_do_not_wait_on_an_accept_poll() {
+    let (child, addr) = start_server(&[]);
+    // Warm-up: the first exchange also waits for the server to come up.
+    assert_eq!(get(&addr, "/healthz").0, 200);
+    let start = Instant::now();
+    for _ in 0..40 {
+        let (status, _, body) = get(&addr, "/healthz");
+        assert_eq!((status, body.as_str()), (200, "ok\n"));
+    }
+    let took = start.elapsed();
+    // A worker blocked in accept() answers at once; a 25 ms accept poll
+    // made this about 750 ms.
+    assert!(
+        took < Duration::from_millis(300),
+        "40 sequential /healthz took {took:?}"
+    );
+    stop_gracefully(child);
+}
+
+#[test]
+fn sigusr1_writes_a_bundle_without_any_request() {
+    let dir = std::env::temp_dir().join(format!("hotwire-serve-usr1-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_arg = dir.to_string_lossy().into_owned();
+    let (child, _addr) = start_server(&["--bundle-dir", &dir_arg]);
+    // The handler is installed before the server announces its address;
+    // no request is sent, so nothing but the control thread can dump.
+    signal(&child, "USR1");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let bundle = loop {
+        let found = std::fs::read_dir(&dir).ok().and_then(|entries| {
+            entries
+                .filter_map(Result::ok)
+                .map(|e| e.path())
+                .find(|p| p.extension().is_some_and(|x| x == "json"))
+        });
+        if let Some(path) = found {
+            break path;
         }
+        assert!(
+            Instant::now() < deadline,
+            "no SIGUSR1 bundle in {} after 10 s",
+            dir.display()
+        );
+        std::thread::sleep(Duration::from_millis(20));
     };
-    assert_eq!(status.code(), Some(0), "graceful shutdown must exit 0");
+    // The file may be seen before its one write has finished.
+    let doc = (0..50)
+        .find_map(|_| {
+            let text = std::fs::read_to_string(&bundle).unwrap_or_default();
+            let doc = hotwire::obs::json::parse(&text).ok();
+            if doc.is_none() {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            doc
+        })
+        .unwrap_or_else(|| panic!("{} never became a whole JSON document", bundle.display()));
+    assert_eq!(
+        doc.get("reason").and_then(hotwire::obs::json::Json::as_str),
+        Some("sigusr1")
+    );
+    stop_gracefully(child);
+    let _ = std::fs::remove_dir_all(&dir);
 }
