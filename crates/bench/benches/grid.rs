@@ -1,8 +1,7 @@
 //! Criterion benchmarks for the finite-volume cross-section solver and
-//! the power-grid DC analysis.
+//! the power-grid DC analysis, per mesh density and grid size.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use hotwire_bench::baseline;
 use hotwire_circuit::power_grid::{PowerGrid, PowerGridSpec};
 use hotwire_thermal::grid2d::{MeshControl, SingleWireStructure};
 use hotwire_units::{Area, Current, Length, Resistance, Voltage};
@@ -41,9 +40,8 @@ fn power_grid(n: usize) -> PowerGrid {
     .expect("valid grid spec")
 }
 
-/// The new direct sparse DC analysis across grid sizes — the headline
-/// number of this PR (compare against `power_grid_seed_path` below; the
-/// crossover sizes also exercise the dense backend at 10×10).
+/// The direct DC analysis across grid sizes: dense LU at 10×10 (below
+/// the sparse crossover), the AMD-ordered LDLᵀ from 20×20 up.
 fn bench_power_grid_analyze(c: &mut Criterion) {
     let mut group = c.benchmark_group("power_grid_analyze");
     group.sample_size(10);
@@ -56,26 +54,5 @@ fn bench_power_grid_analyze(c: &mut Criterion) {
     group.finish();
 }
 
-/// The seed's dense damped-Newton transient path, replayed from
-/// `hotwire_bench::baseline`. Capped at 30×30: dense LU is O(n⁶) in the
-/// grid edge, so 100×100 would take minutes *per solve* — which is the
-/// point of this PR. `BENCH_solver.json` extrapolates the larger sizes.
-fn bench_power_grid_seed_path(c: &mut Criterion) {
-    let mut group = c.benchmark_group("power_grid_seed_path");
-    group.sample_size(10);
-    for n in [10usize, 20, 30] {
-        let grid = power_grid(n);
-        group.bench_with_input(BenchmarkId::from_parameter(n), &grid, |b, grid| {
-            b.iter(|| black_box(baseline::seed_dense_dc_solve(grid).unwrap().v));
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_mesh_density,
-    bench_power_grid_analyze,
-    bench_power_grid_seed_path
-);
+criterion_group!(benches, bench_mesh_density, bench_power_grid_analyze);
 criterion_main!(benches);

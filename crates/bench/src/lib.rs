@@ -12,7 +12,6 @@
 // `x <= 0.0` it also rejects NaN, which must never enter a solver.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 
-pub mod baseline;
 pub mod csv_export;
 pub mod experiments;
 

@@ -287,17 +287,10 @@ impl PowerGrid {
 
     /// The seed's DC solve — one short transient step over the full MNA
     /// system (voltage-source branches included). Superseded by the
-    /// direct formulation in [`PowerGrid::analyze`]; kept compiled only
-    /// for tests and for benchmark cross-checks behind the
-    /// `bench-baselines` feature, so the public API has one blessed
-    /// analyze path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates solver failures exactly as [`PowerGrid::analyze`] does.
-    #[cfg(any(test, feature = "bench-baselines"))]
-    #[doc(hidden)]
-    pub fn analyze_via_transient(&self) -> Result<PowerGridReport, CircuitError> {
+    /// direct formulation in [`PowerGrid::analyze`] and compiled only as
+    /// the independent oracle of its tests.
+    #[cfg(test)]
+    fn analyze_via_transient(&self) -> Result<PowerGridReport, CircuitError> {
         // Purely resistive: one short "transient" step is the DC solve.
         let result = crate::transient::simulate(
             &self.circuit,
@@ -464,16 +457,30 @@ mod tests {
         assert!(report.violations(worst * 1.01).is_empty());
     }
 
+    /// The direct solve against the full-MNA transient step on both sides
+    /// of the dense/sparse crossover: 5×5 (dense LU), 12×12 and 20×20
+    /// (above `SPARSE_THRESHOLD`, so the LDLᵀ). The larger pad layouts
+    /// have no mirror symmetry, so the worst node is unique rather than
+    /// a tie that rounding settles.
     #[test]
     fn direct_dc_matches_transient_reference() {
-        for pads in [
-            vec![(0, 0)],
-            vec![(0, 0), (0, 4), (4, 0), (4, 4)],
-            vec![(2, 2)],
+        use crate::solver::SolverPath::{Dense, SparseCholesky};
+        for (n, pads, path) in [
+            (5, vec![(0, 0)], Dense),
+            (5, vec![(0, 0), (0, 4), (4, 0), (4, 4)], Dense),
+            (5, vec![(2, 2)], Dense),
+            (12, vec![(0, 0), (3, 11), (11, 5)], SparseCholesky),
+            (20, vec![(0, 2), (7, 19), (19, 0), (13, 11)], SparseCholesky),
         ] {
             let mut s = spec();
+            s.rows = n;
+            s.cols = n;
             s.pads = pads;
             let grid = PowerGrid::build(&s).unwrap();
+            let g = 1.0 / s.segment_resistance.value();
+            let mut solver = grid.dc_solver().unwrap();
+            solver.solve(&vec![g; grid.segments.len()]).unwrap();
+            assert_eq!(solver.solver_path(), Some(path), "{n}x{n}");
             let direct = grid.analyze().unwrap();
             let reference = grid.analyze_via_transient().unwrap();
             assert_eq!(direct.worst_node, reference.worst_node);

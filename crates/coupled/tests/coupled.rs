@@ -1,13 +1,17 @@
 //! Behavioural tests of the coupled fixed-point engine: the paper's
-//! single-wire limit (eq. 13), initial-guess independence of the fixed
-//! point, typed failure modes, and parallel/serial determinism.
+//! single-wire limit (eq. 13), the light-load limit against a full-MNA
+//! transient step, initial-guess independence of the fixed point, typed
+//! failure modes, and parallel/serial determinism.
 
+use hotwire_circuit::power_grid::{PowerGrid, PowerGridSpec};
+use hotwire_circuit::solver::SolverPath;
+use hotwire_circuit::transient::{simulate, TransientOptions};
 use hotwire_core::SelfConsistentProblem;
 use hotwire_coupled::{
     coupled_signoff, CoupledEngine, CoupledError, CoupledGridSpec, CoupledOptions,
 };
 use hotwire_thermal::impedance::{InsulatorStack, LineGeometry};
-use hotwire_units::{Current, Kelvin, Length};
+use hotwire_units::{Area, Current, Kelvin, Length, Resistance};
 use proptest::prelude::*;
 
 fn um(v: f64) -> Length {
@@ -72,6 +76,62 @@ fn single_wire_fixed_point_matches_eq13() {
         "utilization {} should not exceed 1 at the allowed density",
         strap.verdict.utilization
     );
+}
+
+/// At 0.01 mA/node the grid heats by microkelvins, so the converged
+/// electrical state is the grid's DC operating point at the reference
+/// resistivity. Its worst IR drop must match one 1 ns transient step
+/// over the full MNA system of the same grid, a different formulation:
+/// the pads are driven through voltage-source branches instead of being
+/// eliminated. 10×10 has 96 unknowns (dense LU); 16×16 has 252, above
+/// `SPARSE_THRESHOLD`, so the engine factors through the LDLᵀ.
+#[test]
+fn light_load_drop_matches_a_full_mna_transient_step() {
+    for (n, path) in [(10, SolverPath::Dense), (16, SolverPath::SparseCholesky)] {
+        let spec = CoupledGridSpec {
+            sink_per_node: Current::from_milliamps(0.01),
+            ..CoupledGridSpec::demo(n, n)
+        };
+        let rho = spec.metal.resistivity(spec.reference_temperature).value();
+        let area = spec.strap_width.value() * spec.strap_thickness.value();
+        let grid = PowerGrid::build(&PowerGridSpec {
+            rows: n,
+            cols: n,
+            segment_resistance: Resistance::new(rho * spec.pitch.value() / area),
+            strap_cross_section: Area::new(area),
+            vdd: spec.vdd,
+            sink_per_node: spec.sink_per_node,
+            pads: spec.pads.clone(),
+        })
+        .unwrap();
+        let step = simulate(
+            grid.circuit(),
+            1.0e-9,
+            TransientOptions {
+                dt: Some(1.0e-9),
+                ..TransientOptions::default()
+            },
+        )
+        .unwrap();
+        let last = step.times.len() - 1;
+        let reference = (0..n * n)
+            .map(|k| spec.vdd.value() - step.voltage_at(grid.node_id(k / n, k % n), last))
+            .fold(0.0_f64, f64::max);
+
+        let mut engine = CoupledEngine::new(spec.clone(), CoupledOptions::default()).unwrap();
+        engine.run().unwrap();
+        assert_eq!(engine.solver_path(), Some(path), "{n}x{n}");
+        let coupled = spec.vdd.value()
+            - engine
+                .node_voltages()
+                .iter()
+                .fold(f64::INFINITY, |m, &v| m.min(v));
+        let rel = (coupled - reference).abs() / reference;
+        assert!(
+            rel < 1.0e-9,
+            "{n}x{n}: coupled drop {coupled} V vs transient {reference} V (relative {rel:.1e})"
+        );
+    }
 }
 
 /// The converged report is byte-identical whether the per-branch EM

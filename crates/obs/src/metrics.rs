@@ -321,8 +321,7 @@ pub struct GaugeStats {
 }
 
 impl GaugeStats {
-    /// Stats of a gauge written exactly once (min = max = value) —
-    /// also the parse of a legacy bare-number gauge.
+    /// Stats of a gauge written exactly once (min = max = value).
     #[must_use]
     pub fn single(value: f64) -> Self {
         Self {
@@ -438,25 +437,19 @@ impl MetricsSnapshot {
         }
         let mut gauges = BTreeMap::new();
         for (k, val) in obj("gauges")? {
-            // A bare number is the pre-histogram schema (no envelope
-            // was tracked); parse it as a single write so old
-            // BENCH_*.json baselines stay readable.
-            let stats = match val.as_f64() {
-                Some(v) => GaugeStats::single(v),
-                None => {
-                    let field = |f: &str| -> Result<f64, String> {
-                        val.get(f)
-                            .and_then(Json::as_f64)
-                            .ok_or(format!("gauge `{k}` missing `{f}`"))
-                    };
-                    GaugeStats {
-                        value: field("value")?,
-                        min: field("min")?,
-                        max: field("max")?,
-                    }
-                }
+            let field = |f: &str| -> Result<f64, String> {
+                val.get(f)
+                    .and_then(Json::as_f64)
+                    .ok_or(format!("gauge `{k}` missing `{f}`"))
             };
-            gauges.insert(k.clone(), stats);
+            gauges.insert(
+                k.clone(),
+                GaugeStats {
+                    value: field("value")?,
+                    min: field("min")?,
+                    max: field("max")?,
+                },
+            );
         }
         let mut timers = BTreeMap::new();
         for (k, val) in obj("timers")? {
@@ -464,14 +457,6 @@ impl MetricsSnapshot {
                 val.get(f)
                     .and_then(Json::as_f64)
                     .ok_or(format!("timer `{k}` missing `{f}`"))
-            };
-            // Quantiles default to 0 when absent, so pre-histogram
-            // snapshots parse (their emitters never wrote p50/p90/p99).
-            let quantile = |f: &str| -> Result<f64, String> {
-                match val.get(f) {
-                    None => Ok(0.0),
-                    Some(v) => v.as_f64().ok_or(format!("timer `{k}` bad `{f}`")),
-                }
             };
             timers.insert(
                 k.clone(),
@@ -483,9 +468,9 @@ impl MetricsSnapshot {
                     total_ms: field("total_ms")?,
                     min_ms: field("min_ms")?,
                     max_ms: field("max_ms")?,
-                    p50_ms: quantile("p50_ms")?,
-                    p90_ms: quantile("p90_ms")?,
-                    p99_ms: quantile("p99_ms")?,
+                    p50_ms: field("p50_ms")?,
+                    p90_ms: field("p90_ms")?,
+                    p99_ms: field("p99_ms")?,
                 },
             );
         }
@@ -619,6 +604,9 @@ mod tests {
             r#"{"telemetry": true, "counters": {}, "gauges": {}}"#,
             r#"{"telemetry": true, "counters": {"a": -1}, "gauges": {}, "timers": {}}"#,
             r#"{"telemetry": true, "counters": {}, "gauges": {}, "timers": {"t": {}}}"#,
+            r#"{"telemetry": true, "counters": {}, "gauges": {"g": 4.5}, "timers": {}}"#,
+            r#"{"telemetry": true, "counters": {}, "gauges": {},
+                "timers": {"t": {"count": 1, "total_ms": 2.0, "min_ms": 2.0, "max_ms": 2.0}}}"#,
         ] {
             let v = crate::json::parse(text).unwrap();
             assert!(MetricsSnapshot::from_json(&v).is_err(), "{text}");
@@ -682,17 +670,6 @@ mod tests {
         assert_eq!(stats.min, -2.5, "the dip is not forgotten");
         assert_eq!(stats.max, 10.0, "nor the spike");
         reset();
-    }
-
-    #[test]
-    fn legacy_bare_number_gauges_parse() {
-        let text = r#"{"telemetry": true, "counters": {},
-                       "gauges": {"old.gauge": 4.5},
-                       "timers": {"old.timer": {"count": 1, "total_ms": 2.0,
-                                  "min_ms": 2.0, "max_ms": 2.0}}}"#;
-        let snap = MetricsSnapshot::from_json(&crate::json::parse(text).unwrap()).unwrap();
-        assert_eq!(snap.gauges["old.gauge"], GaugeStats::single(4.5));
-        assert_eq!(snap.timers["old.timer"].p99_ms, 0.0, "quantiles default");
     }
 
     #[cfg(not(feature = "telemetry"))]

@@ -12,8 +12,8 @@
 //!
 //! * Every run appends machine-readable results to
 //!   `target/criterion-shim/<bench-binary>.json` (override the directory
-//!   with `CRITERION_SHIM_DIR`), so baselines like `BENCH_solver.json`
-//!   can be assembled without parsing terminal output.
+//!   with `CRITERION_SHIM_DIR`), so a per-size sweep can be read back
+//!   without parsing terminal output.
 //! * A positional CLI argument filters benchmarks by substring, matching
 //!   `cargo bench -- <filter>` usage; criterion's own flags are ignored.
 //!
