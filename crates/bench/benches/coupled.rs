@@ -21,6 +21,9 @@
 //! budget. No check enforces that budget; the benchmark's
 //! `trace_overhead_pct` reports the same cost on whole `coupled-picard`
 //! CLI runs.
+//!
+//! `chip_thermal` times the chip thermal map alone, built and solved the
+//! way one coupled run uses it, across grid sizes and strap pitches.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use hotwire_coupled::{CoupledEngine, CoupledGridSpec, CoupledOptions};
@@ -29,6 +32,8 @@ use hotwire_em_tree::steady::steady_state;
 use hotwire_em_tree::transient::{KorhonenSolver, TransientOptions};
 use hotwire_em_tree::tree::InterconnectTree;
 use hotwire_obs::spantree;
+use hotwire_thermal::chip::ChipThermalModel;
+use hotwire_thermal::impedance::{effective_width, InsulatorStack};
 use hotwire_units::{CurrentDensity, Kelvin, Length, Seconds};
 
 fn engine(n: usize) -> CoupledEngine {
@@ -89,6 +94,57 @@ fn bench_coupled_signoff(c: &mut Criterion) {
     group.finish();
 }
 
+/// `ChipThermalModel::new` plus the 14 solves of a Picard run, on the
+/// demo stack at 100 µm pitch (20×20, 100×100, 300×300) and at 10 µm
+/// and 3 µm pitch (100×100), where the lateral-to-vertical conductance
+/// ratio is 100× and about 1 100× larger. The power map is fixed, up to
+/// 0.1 mW per node; solve k scales it by 1 + 2⁻ᵏ, so the map settles
+/// the way a converging run's does, and each solve starts from the
+/// previous field as `CoupledEngine::step` does.
+fn bench_chip_thermal(c: &mut Criterion) {
+    let mut group = c.benchmark_group("chip_thermal");
+    group.sample_size(10);
+    for (n, pitch_um) in [
+        (20usize, 100.0),
+        (100, 100.0),
+        (300, 100.0),
+        (100, 10.0),
+        (100, 3.0),
+    ] {
+        // The engine's conductances for the demo stack at this pitch.
+        let spec = CoupledGridSpec {
+            pitch: Length::from_micrometers(pitch_um),
+            ..CoupledGridSpec::demo(n, n)
+        };
+        let pitch = spec.pitch.value();
+        let area = spec.strap_width.value() * spec.strap_thickness.value();
+        let srt = InsulatorStack::single(spec.dielectric_thickness, &spec.dielectric)
+            .series_resistance_thickness();
+        let w_eff = effective_width(spec.strap_width, spec.dielectric_thickness, spec.phi);
+        let g_lateral = spec.metal.thermal_conductivity().value() * area / pitch;
+        let g_half = w_eff.value() * 0.5 * pitch / srt;
+        let power: Vec<f64> = (0..n * n)
+            .map(|k| 1e-6 * ((k * 7919) % 101) as f64)
+            .collect();
+        let id = BenchmarkId::new(format!("{n}x{n}"), format!("{pitch_um}um"));
+        group.bench_function(id, |b| {
+            b.iter(|| {
+                let chip = ChipThermalModel::new(n, n, g_lateral, g_half).unwrap();
+                let (mut scaled, mut rise) = (vec![0.0; n * n], Vec::new());
+                for k in 0..14 {
+                    let s = 1.0 + 0.5f64.powi(k);
+                    for (q, &p) in scaled.iter_mut().zip(&power) {
+                        *q = s * p;
+                    }
+                    chip.solve_into(&scaled, &mut rise).unwrap();
+                }
+                black_box(rise)
+            });
+        });
+    }
+    group.finish();
+}
+
 /// The tree-EM stress stage on straight Cu lines of 100, 1 000 and
 /// 10 000 segments (10 µm each, 0.5 MA/cm² at 110 °C: mortal, so the
 /// filter runs its full recurrence and extrema scan). `steady_state` is
@@ -134,6 +190,7 @@ criterion_group!(
     bench_coupled_step,
     bench_coupled_step_traced,
     bench_coupled_signoff,
+    bench_chip_thermal,
     bench_em_tree_line
 );
 criterion_main!(benches);

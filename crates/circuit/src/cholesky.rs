@@ -1,10 +1,10 @@
 //! Sparse LDLᵀ (Cholesky) factorization for symmetric positive-definite
 //! MNA systems — the SPD fast path.
 //!
-//! The DC power-grid matrix (pads eliminated, gmin on the diagonal) and
-//! the chip thermal map are SPD by construction, so they never need the
-//! partial pivoting the general LU in [`crate::sparse`] pays for. This
-//! module factors `P·A·Pᵀ = L·D·Lᵀ` with:
+//! The DC power-grid matrix (pads eliminated, gmin on the diagonal) is
+//! SPD by construction, so it never needs the partial pivoting the
+//! general LU in [`crate::sparse`] pays for. This module factors
+//! `P·A·Pᵀ = L·D·Lᵀ` with:
 //!
 //! * a fill-reducing AMD permutation ([`crate::ordering::amd`]),
 //! * a **symbolic phase** run once per sparsity pattern — elimination

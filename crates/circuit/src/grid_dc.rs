@@ -63,7 +63,6 @@ pub struct DcGridSolver {
     gmin: f64,
     sinks: Vec<f64>,
     matrix: MnaMatrix,
-    lu_only: bool,
     factorization: Option<MnaFactorization>,
     rhs: Vec<f64>,
     reduced: Vec<f64>,
@@ -159,7 +158,6 @@ impl DcGridSolver {
             gmin,
             sinks: vec![0.0; n_nodes],
             matrix: MnaMatrix::auto(n_unknowns.max(1)),
-            lu_only: false,
             factorization: None,
             rhs: vec![0.0; n_unknowns],
             reduced: Vec::new(),
@@ -262,14 +260,7 @@ impl DcGridSolver {
                     self.refactors_since_cond += 1;
                     (&*f, self.refactors_since_cond >= COND_RESAMPLE_INTERVAL)
                 }
-                None => {
-                    let fresh = if self.lu_only {
-                        self.matrix.factor_lu()?
-                    } else {
-                        self.matrix.factor()?
-                    };
-                    (&*self.factorization.insert(fresh), true)
-                }
+                None => (&*self.factorization.insert(self.matrix.factor()?), true),
             };
             f.solve_into(&self.rhs, &mut self.reduced);
             if sample_cond {
@@ -391,8 +382,7 @@ impl DcGridSolver {
 
     /// LU pivot growth of the current factorization (`None` before the
     /// first solve or on the dense/Cholesky backends — grid stamps are
-    /// SPD, so this reports only under [`DcGridSolver::set_lu_only`] or
-    /// after a Cholesky→LU fallback).
+    /// SPD, so this reports only after a Cholesky→LU fallback).
     #[must_use]
     pub fn pivot_growth(&self) -> Option<f64> {
         self.factorization
@@ -447,18 +437,10 @@ impl DcGridSolver {
         self.matrix.is_sparse()
     }
 
-    /// Forces the general LU even though grid stamps are SPD — the
-    /// benchmarking/comparison escape hatch. Must be called before the
-    /// first [`DcGridSolver::solve`]; has no effect on an existing
-    /// factorization.
-    pub fn set_lu_only(&mut self, lu_only: bool) {
-        self.lu_only = lu_only;
-    }
-
     /// The solver backend that served the most recent factorization
     /// (`None` before the first solve). Grid stamps are SPD by
     /// construction, so this reports [`SolverPath::SparseCholesky`] on
-    /// large grids unless [`DcGridSolver::set_lu_only`] was used.
+    /// large grids.
     #[must_use]
     pub fn solver_path(&self) -> Option<SolverPath> {
         self.factorization.as_ref().map(MnaFactorization::path)

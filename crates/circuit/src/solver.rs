@@ -141,23 +141,9 @@ impl MnaMatrix {
         self.factor_dispatch(false)
     }
 
-    /// Factors through the general LU even when the stamps are SPD —
-    /// the benchmarking/comparison escape hatch
-    /// ([`crate::grid_dc::DcGridSolver::set_lu_only`] routes here).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::Singular`] when the system has no unique
-    /// solution.
-    pub fn factor_lu(&self) -> Result<MnaFactorization, CircuitError> {
-        metrics::counter("solver.factor").inc();
-        let _t = hotwire_obs::trace::span("solver.factor_time");
-        self.factor_dispatch(true)
-    }
-
-    /// Backend dispatch shared by [`MnaMatrix::factor`],
-    /// [`MnaMatrix::factor_lu`] and the refactor fallback (which must
-    /// not double-increment `solver.factor`).
+    /// Backend dispatch shared by [`MnaMatrix::factor`] and the
+    /// refactor fallback (which must not double-increment
+    /// `solver.factor`); `force_lu` keeps an LU factorization on LU.
     fn factor_dispatch(&self, force_lu: bool) -> Result<MnaFactorization, CircuitError> {
         match self {
             Self::Dense(m) => {
@@ -372,8 +358,8 @@ impl MnaFactorization {
             // Pivot order (LU) or definiteness (LDLᵀ) went stale for the
             // new values; re-dispatch from scratch. A Cholesky backend
             // may come back as LU (values no longer SPD); an LU backend
-            // stays LU — it was chosen either by dispatch (non-SPD
-            // candidate) or deliberately via `factor_lu`.
+            // stays LU — dispatch chose it for a non-SPD candidate or
+            // after a pivot failure.
             metrics::counter("solver.refactor_fallback").inc();
             let keep_lu = matches!(&*self, Self::Sparse(_));
             *self = matrix.factor_dispatch(keep_lu)?;
@@ -444,15 +430,24 @@ mod tests {
 
     #[test]
     fn condition_estimate_tracks_the_diagonal_spread() {
-        // Diagonal systems have κ₁ = max/min exactly, and exercise both
-        // sparse backends (SPD → LDLᵀ, forced LU via factor_lu).
+        // A diagonal system has κ₁ = max/min exactly and takes the LDLᵀ.
         let mut m = MnaMatrix::sparse(3);
         m.add(0, 0, 100.0);
         m.add(1, 1, 1.0);
         m.add(2, 2, 10.0);
-        for f in [m.factor().unwrap(), m.factor_lu().unwrap()] {
+        // Adding A[1][0] = 50 breaks the symmetry, so the same stamp goes
+        // to LU: ‖A‖₁ = 150 (column 0) and A⁻¹ = [[0.01, 0, 0],
+        // [−0.5, 1, 0], [0, 0, 0.1]] has ‖A⁻¹‖₁ = 1, so κ₁ = 150.
+        let mut skew = m.clone();
+        skew.add(1, 0, 50.0);
+        for (m, path, kappa) in [
+            (m, SolverPath::SparseCholesky, 100.0),
+            (skew, SolverPath::SparseLu, 150.0),
+        ] {
+            let f = m.factor().unwrap();
+            assert_eq!(f.path(), path);
             let est = f.condition_estimate().unwrap();
-            assert!((est - 100.0).abs() < 1e-9, "{:?}: {est}", f.path());
+            assert!((est - kappa).abs() < 1e-9, "{path:?}: {est}");
         }
         let mut d = MnaMatrix::dense(2);
         d.add(0, 0, 1.0);

@@ -9,8 +9,9 @@
 //!    factors the reduced sparse matrix, later solves reuse its
 //!    symbolic structure via `refactor()`;
 //! 2. convert branch currents to Joule powers `P_b = I_b²/g_b`, split
-//!    them onto the end nodes, and solve the chip thermal map (factored
-//!    once — thermal conductances never change);
+//!    them onto the end nodes, and solve the chip thermal map (a
+//!    matrix-free conjugate-gradient solve, warm-started from the last
+//!    iteration's field);
 //! 3. update every branch temperature toward the substrate-referenced
 //!    field with damping `α`, clamping the *resistivity lookup* into
 //!    the metal fit's validity window so an overshooting iterate can
@@ -224,8 +225,7 @@ impl CoupledReport {
 }
 
 /// The coupled engine: owns the DC solver (with its reusable
-/// factorization), the factored chip thermal map, and the temperature
-/// state.
+/// factorization), the chip thermal map, and the temperature state.
 #[derive(Debug, Clone)]
 pub struct CoupledEngine {
     spec: CoupledGridSpec,
@@ -247,8 +247,9 @@ pub struct CoupledEngine {
 }
 
 impl CoupledEngine {
-    /// Validates the spec and builds both factorizable systems (the
-    /// thermal one is factored here, once).
+    /// Validates the spec and builds the electrical and thermal systems
+    /// (the electrical one is factored on the first step; the thermal
+    /// one is matrix-free and never factored).
     ///
     /// # Errors
     ///
@@ -434,8 +435,9 @@ impl CoupledEngine {
             self.solver.solve(&self.branch_g)?;
         }
         let electrical = electrical_start.elapsed();
-        // 2. Thermal: branch Joule powers onto end nodes, one pair of
-        //    triangular substitutions for the whole chip.
+        // 2. Thermal: branch Joule powers onto end nodes, one
+        //    conjugate-gradient solve for the whole chip, started from
+        //    the previous iteration's rise.
         let thermal_start = hotwire_obs::Stopwatch::start();
         self.node_power.iter_mut().for_each(|p| *p = 0.0);
         let cols = self.spec.cols;

@@ -7,8 +7,8 @@
 //! `hotwire coupled-signoff --trace-out` writes to disk. It answers the
 //! post-mortem questions the scalar report cannot: how fast did the
 //! fixed point settle, did the residual stall before the cap, and which
-//! stage (electrical refactor+solve vs banded thermal substitution)
-//! dominated each iteration.
+//! stage (electrical refactor+solve vs the thermal CG solve) dominated
+//! each iteration.
 //!
 //! The registry view is complementary: the `coupled.residual` gauge
 //! keeps only the *last* residual but its snapshot carries the min/max
@@ -32,7 +32,7 @@ pub struct IterationRecord {
     pub worst_ir_drop: f64,
     /// Wall time of the restamp + DC grid solve (ms).
     pub electrical_ms: f64,
-    /// Wall time of the chip thermal substitution (ms).
+    /// Wall time of the chip thermal solve (ms).
     pub thermal_ms: f64,
     /// Wall time of the whole iteration (ms) — electrical + thermal +
     /// the damped update. Strictly ≥ `electrical_ms + thermal_ms`, and

@@ -5,11 +5,10 @@
 //! half-bandwidth equal to the shorter grid axis when unknowns are
 //! ordered with that axis varying fastest. A banded Cholesky factors
 //! them in O(n·bw²) flops and O(n·bw) memory — no pivoting, no fill
-//! beyond the band. [`grid2d`](crate::grid2d) solves its cross-sections
-//! with it, and the chip thermal map ([`crate::chip`]) its grids up to
-//! half-bandwidth 64: on systems a few dozen unknowns across, the band
-//! factors faster than `hotwire_circuit::cholesky` can order, and for
-//! grid2d it also keeps the peak memory lower (DESIGN.md §12).
+//! beyond the band. It serves [`grid2d`](crate::grid2d) only, whose
+//! cross-sections are a few dozen unknowns across: there the band
+//! factors faster than `hotwire_circuit::cholesky` can order, and keeps
+//! the peak memory lower (DESIGN.md §12).
 
 use crate::error::ThermalError;
 
@@ -112,23 +111,11 @@ impl BandedCholesky {
     /// Panics on an rhs length mismatch.
     #[must_use]
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        let mut x = Vec::new();
-        self.solve_into(b, &mut x);
-        x
-    }
-
-    /// Solves `A·x = b` into a caller-provided buffer (resized to `n`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an rhs length mismatch.
-    pub fn solve_into(&self, b: &[f64], x: &mut Vec<f64>) {
         assert_eq!(b.len(), self.n, "rhs length mismatch");
         let (n, bw) = (self.n, self.bw);
         let w = bw + 1;
         let ab = &self.ab;
-        x.clear();
-        x.extend_from_slice(b);
+        let mut x = b.to_vec();
         // Forward substitution L·y = b.
         for r in 0..n {
             let c_lo = r.saturating_sub(bw);
@@ -147,6 +134,7 @@ impl BandedCholesky {
             }
             x[r] = sum / ab[r * w + bw];
         }
+        x
     }
 }
 

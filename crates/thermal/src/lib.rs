@@ -15,10 +15,10 @@
 //!   Table 7, for densely packed 3-D arrays).
 //! * [`transient`] — lumped transient Joule heating with melt detection,
 //!   the engine behind the ESD (short-pulse failure) analysis of §6.
-//! * [`chip`] — a chip-scale strap-intersection thermal map (factored
-//!   once, solved per coupled-loop iteration), on a private banded SPD
-//!   Cholesky for small grids — the one behind [`grid2d`] — and on the
-//!   circuit crate's sparse LDLᵀ above half-bandwidth 64.
+//! * [`chip`] — a chip-scale strap-intersection thermal map, solved per
+//!   coupled-loop iteration by matrix-free Jacobi-preconditioned
+//!   conjugate gradients with a certified max-norm error bound; nothing
+//!   is factored.
 //!
 //! # Examples
 //!
