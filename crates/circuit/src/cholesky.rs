@@ -137,9 +137,6 @@ pub struct CholeskyFactorization {
     /// its below-block rows are those of its last column.
     super_ptr: Vec<usize>,
     work: Workspace,
-    /// ‖A‖₁ of the matrix behind the current numeric values, refreshed
-    /// by [`CholeskyFactorization::refactor`] (condition-estimate input).
-    anorm_1: f64,
 }
 
 /// Numeric-phase scratch, sized exactly by the symbolic phase and reused
@@ -216,13 +213,6 @@ impl CholeskyFactorization {
         &self.d
     }
 
-    /// ‖A‖₁ of the matrix behind the current numeric values (refreshed
-    /// on [`CholeskyFactorization::refactor`]).
-    #[must_use]
-    pub fn anorm_1(&self) -> f64 {
-        self.anorm_1
-    }
-
     /// Smallest |dₖ| of the LDLᵀ diagonal — the SPD path's pivot-health
     /// analog: a collapse toward zero means the grid is drifting toward
     /// singular (floating nodes, vanishing conductances).
@@ -254,7 +244,6 @@ impl CholeskyFactorization {
         metrics::counter("solver.chol.refactor").inc();
         let _t = hotwire_obs::trace::span("solver.chol.refactor_time");
         let a = matrix.to_csc();
-        self.anorm_1 = a.norm_1();
         self.numeric(&a)?;
         #[allow(clippy::cast_precision_loss)]
         metrics::gauge("solver.chol.fill_nnz").set(self.nnz() as f64);
@@ -347,7 +336,6 @@ impl CholeskyFactorization {
             d,
             super_ptr,
             work,
-            anorm_1: a.norm_1(),
         }
     }
 

@@ -13,6 +13,12 @@
 //! pays only a numeric [`MnaFactorization::refactor`], not the symbolic
 //! analysis.
 //!
+//! The reduced matrix is a weighted grid Laplacian plus the pad ties and
+//! the `gmin` leak on its diagonal: a symmetric nonsingular M-matrix, so
+//! `A⁻¹ ≥ 0` entrywise and `‖A⁻¹‖∞ = max(A⁻¹·1)`. One extra solve with
+//! the factorization in hand therefore gives the exact condition number
+//! κ₁ = κ∞ ([`DcGridSolver::condition_number`]); no estimator is needed.
+//!
 //! ```
 //! use hotwire_circuit::grid_dc::DcGridSolver;
 //!
@@ -31,14 +37,6 @@ use crate::solver::{MnaFactorization, MnaMatrix, SolverPath};
 use crate::CircuitError;
 use hotwire_obs::{health, metrics, recorder};
 
-/// Refactors between condition-estimate resamples: the estimate is
-/// cached per sparsity pattern and refreshed every this-many numeric
-/// refactors, so its few extra solves amortize to well under a percent
-/// of the solve budget while conditioning drift (a strap burning out,
-/// a grid drifting toward floating) still surfaces within one Picard
-/// window.
-pub const COND_RESAMPLE_INTERVAL: usize = 32;
-
 /// Default relative-residual warn threshold: ‖Ax−b‖∞/‖b‖∞ beyond this
 /// increments `health.residual_warn` and logs a warning. Direct sparse
 /// solves on well-conditioned grids land near machine epsilon; 1e-8
@@ -52,7 +50,9 @@ pub const DEFAULT_RESIDUAL_WARN: f64 = 1e-8;
 /// [`DcGridSolver::solve`] as many times as needed with updated
 /// conductance vectors. The first solve factors the reduced matrix;
 /// later solves reuse the factorization's symbolic structure via
-/// [`MnaFactorization::refactor`].
+/// [`MnaFactorization::refactor`]. [`DcGridSolver::condition_number`]
+/// reports κ of the matrix behind the current voltages on demand, from
+/// the same factorization.
 #[derive(Debug, Clone)]
 pub struct DcGridSolver {
     n_nodes: usize,
@@ -63,16 +63,18 @@ pub struct DcGridSolver {
     gmin: f64,
     sinks: Vec<f64>,
     matrix: MnaMatrix,
+    /// Factors `matrix`; `None` before the first solve and after a
+    /// failed one.
     factorization: Option<MnaFactorization>,
     rhs: Vec<f64>,
+    /// Per-row absolute sums of `matrix`; ‖A‖∞ is their maximum.
+    row_abs: Vec<f64>,
     reduced: Vec<f64>,
     node_v: Vec<f64>,
     branch_i: Vec<f64>,
     solves: usize,
     residual_warn: f64,
     last_residual: Option<f64>,
-    cond_est: Option<f64>,
-    refactors_since_cond: usize,
 }
 
 impl DcGridSolver {
@@ -160,14 +162,13 @@ impl DcGridSolver {
             matrix: MnaMatrix::auto(n_unknowns.max(1)),
             factorization: None,
             rhs: vec![0.0; n_unknowns],
+            row_abs: vec![0.0; n_unknowns],
             reduced: Vec::new(),
             node_v: vec![0.0; n_nodes],
             branch_i: vec![0.0; n_branches],
             solves: 0,
             residual_warn: DEFAULT_RESIDUAL_WARN,
             last_residual: None,
-            cond_est: None,
-            refactors_since_cond: 0,
         })
     }
 
@@ -222,6 +223,7 @@ impl DcGridSolver {
         if self.n_unknowns > 0 {
             self.matrix.clear();
             self.rhs.iter_mut().for_each(|r| *r = 0.0);
+            self.row_abs.iter_mut().for_each(|r| *r = 0.0);
             // Stamp in a fixed order so every solve produces the same
             // sparsity pattern (a refactor() precondition) and the same
             // floating-point sums as a fresh assembly.
@@ -233,16 +235,20 @@ impl DcGridSolver {
                         self.matrix.add(ub, ub, g);
                         self.matrix.add(ua, ub, -g);
                         self.matrix.add(ub, ua, -g);
+                        self.row_abs[ua] += 2.0 * g;
+                        self.row_abs[ub] += 2.0 * g;
                     }
                     (Some(va), None) => {
                         let ub = self.unknown_of[b];
                         self.matrix.add(ub, ub, g);
                         self.rhs[ub] += g * va;
+                        self.row_abs[ub] += g;
                     }
                     (None, Some(vb)) => {
                         let ua = self.unknown_of[a];
                         self.matrix.add(ua, ua, g);
                         self.rhs[ua] += g * vb;
+                        self.row_abs[ua] += g;
                     }
                     (Some(_), Some(_)) => {} // both ends pinned: no unknown
                 }
@@ -252,27 +258,17 @@ impl DcGridSolver {
                     let u = self.unknown_of[node];
                     self.matrix.add(u, u, self.gmin);
                     self.rhs[u] -= self.sinks[node];
+                    self.row_abs[u] += self.gmin;
                 }
             }
-            let (f, sample_cond) = match &mut self.factorization {
-                Some(f) => {
-                    f.refactor(&self.matrix)?;
-                    self.refactors_since_cond += 1;
-                    (&*f, self.refactors_since_cond >= COND_RESAMPLE_INTERVAL)
-                }
-                None => (&*self.factorization.insert(self.matrix.factor()?), true),
+            // A failed (re)factorization is dropped rather than kept in a
+            // half-overwritten state.
+            let factored = match self.factorization.take() {
+                Some(mut f) => f.refactor(&self.matrix).map(|()| f),
+                None => self.matrix.factor(),
             };
+            let f = self.factorization.insert(factored?);
             f.solve_into(&self.rhs, &mut self.reduced);
-            if sample_cond {
-                // First factorization of a pattern, or every
-                // COND_RESAMPLE_INTERVAL-th refactor: refresh the cached
-                // Hager/Higham estimate (a handful of extra triangular
-                // solves against the factorization already in hand).
-                if let Some(kappa) = f.condition_estimate() {
-                    self.cond_est = Some(kappa);
-                }
-                self.refactors_since_cond = 0;
-            }
             self.check_residual();
         }
         for node in 0..self.n_nodes {
@@ -364,13 +360,28 @@ impl DcGridSolver {
         rel
     }
 
-    /// The cached Hager/Higham 1-norm condition estimate of the reduced
-    /// matrix, sampled on the first factorization of a pattern and every
-    /// [`COND_RESAMPLE_INTERVAL`]-th refactor. `None` before the first
-    /// solve or on the dense backend.
+    /// The condition number κ₁ = κ∞ of the reduced matrix behind the
+    /// current voltages: ‖A‖∞ from the stamps times ‖A⁻¹‖∞ = max(y),
+    /// where `A·y = 1` is solved with the factorization in hand (dense
+    /// LU, LDLᵀ or the LU fallback). Exact to rounding because `A` is a
+    /// symmetric M-matrix; `f64::INFINITY` when `y` is not finite.
+    /// Each call costs one solve and records one `health.cond_est`
+    /// sample.
+    ///
+    /// `None` before the first successful solve, after a failed one, or
+    /// when every node is pinned.
     #[must_use]
-    pub fn condition_estimate(&self) -> Option<f64> {
-        self.cond_est
+    pub fn condition_number(&self) -> Option<f64> {
+        let f = self.factorization.as_ref()?;
+        let y = f.solve(&vec![1.0; self.n_unknowns]);
+        let inv_norm = y
+            .iter()
+            .try_fold(0.0f64, |m, &v| v.is_finite().then_some(m.max(v.abs())));
+        let a_norm = self.row_abs.iter().fold(0.0f64, |m, &r| m.max(r));
+        let kappa = inv_norm.map_or(f64::INFINITY, |m| a_norm * m);
+        metrics::gauge(health::names::COND_EST).set(kappa);
+        metrics::counter(health::names::COND_SAMPLES).inc();
+        Some(kappa)
     }
 
     /// Relative residual ‖Ax−b‖∞/‖b‖∞ from the most recent solve
@@ -579,7 +590,7 @@ mod tests {
             res < 1e-10,
             "direct solve residual should be tiny, got {res}"
         );
-        let kappa = s.condition_estimate().expect("sampled on first factor");
+        let kappa = s.condition_number().expect("factored");
         assert!(kappa.is_finite() && kappa >= 1.0, "kappa = {kappa}");
         let kcl = s.kcl_audit();
         assert!(
@@ -589,33 +600,30 @@ mod tests {
     }
 
     #[test]
-    fn condition_estimate_resamples_on_schedule() {
-        // A chain long enough for the sparse backend (dense reports no
-        // estimate): 131 nodes, node 0 pinned, sink at the far end.
-        let n = 131;
-        let branches: Vec<_> = (0..n - 1).map(|k| (k, k + 1)).collect();
-        let mut s = DcGridSolver::new(n, branches, &[(0, 1.0)], 0.0).unwrap();
-        assert!(s.is_sparse());
-        s.set_sink(n - 1, 0.1);
-        let uniform = vec![1.0; n - 1];
-        let mut weak_tail = uniform.clone();
-        weak_tail[n - 2] = 1e-9; // near-floating end node
-        s.solve(&uniform).unwrap();
-        let first = s.condition_estimate();
-        assert!(first.is_some(), "sampled on the first factorization");
-        // Refactors 1..COND_RESAMPLE_INTERVAL-1 keep the cached value
-        // even as the matrix changes; the interval-th refresh sees the
-        // new, much more spread conductances.
-        for _ in 0..COND_RESAMPLE_INTERVAL - 1 {
-            s.solve(&weak_tail).unwrap();
-            assert_eq!(s.condition_estimate(), first, "cached between samples");
-        }
-        s.solve(&weak_tail).unwrap();
-        let resampled = s.condition_estimate().unwrap();
-        assert!(
-            resampled > first.unwrap() * 100.0,
-            "resample must see the spread: {resampled} vs {first:?}"
-        );
+    fn condition_number_is_exact_on_a_chain() {
+        // Node 0 pinned, two unit branches, no leak: A = [[2, −1], [−1, 1]],
+        // A⁻¹ = [[1, 1], [1, 2]], so κ∞ = ‖A‖∞·‖A⁻¹‖∞ = 3·3.
+        let mut s = DcGridSolver::new(3, vec![(0, 1), (1, 2)], &[(0, 1.0)], 0.0).unwrap();
+        assert_eq!(s.condition_number(), None, "nothing factored yet");
+        s.solve(&[1.0, 1.0]).unwrap();
+        assert!(!s.is_sparse());
+        let kappa = s.condition_number().unwrap();
+        assert!((kappa - 9.0).abs() < 1e-12, "κ = {kappa}");
+        // Weakening the tail link spreads the spectrum: κ follows the
+        // new stamps, not a cached value.
+        s.solve(&[1.0, 1e-6]).unwrap();
+        assert!(s.condition_number().unwrap() > 1e6);
+    }
+
+    #[test]
+    fn a_failed_refactor_leaves_no_condition_number() {
+        let mut s = DcGridSolver::new(3, vec![(0, 1), (1, 2)], &[(0, 1.0)], 0.0).unwrap();
+        s.solve(&[1.0, 1.0]).unwrap();
+        // Subnormal conductances underflow the dense LU's pivot test.
+        assert!(s.solve(&[1e-310, 1e-310]).is_err());
+        assert_eq!(s.condition_number(), None);
+        s.solve(&[2.0, 2.0]).unwrap();
+        assert!(s.condition_number().is_some_and(f64::is_finite));
     }
 
     #[test]
@@ -636,6 +644,7 @@ mod tests {
         let mut pinned = DcGridSolver::new(2, vec![(0, 1)], &[(0, 1.0), (1, 0.5)], 0.0).unwrap();
         pinned.solve(&[4.0]).unwrap();
         assert_eq!(pinned.kcl_audit(), 0.0);
+        assert_eq!(pinned.condition_number(), None);
     }
 
     #[test]

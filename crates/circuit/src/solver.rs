@@ -247,59 +247,6 @@ impl MnaFactorization {
         }
     }
 
-    /// Hager/Higham 1-norm condition estimate κ₁(A) of the factored
-    /// system, reusing the stored factors (a handful of solves, no
-    /// refactorization).
-    ///
-    /// `None` on the dense backend (small testbench systems; the
-    /// monitors target the grid-scale sparse paths). The estimate is a
-    /// lower bound on the true κ₁, typically within a small factor
-    /// (see [`hotwire_obs::health::CONDEST_UNDERESTIMATE_FACTOR`]);
-    /// `f64::INFINITY` means numerically singular. Each call records
-    /// one `health.cond_est` gauge sample — callers decide the
-    /// sampling cadence (e.g. [`crate::grid_dc::DcGridSolver`] samples
-    /// the first factorization of a pattern and every
-    /// [`crate::grid_dc::COND_RESAMPLE_INTERVAL`]-th refactor).
-    #[must_use]
-    pub fn condition_estimate(&self) -> Option<f64> {
-        let kappa = match self {
-            Self::Dense(_) => return None,
-            Self::Sparse(f) => {
-                let mut buf = Vec::new();
-                let mut buf_t = Vec::new();
-                health::condest_1norm(
-                    f.n(),
-                    f.anorm_1(),
-                    |b, x| {
-                        f.solve_into(b, &mut buf);
-                        x.copy_from_slice(&buf);
-                    },
-                    |b, x| {
-                        f.solve_transposed_into(b, &mut buf_t);
-                        x.copy_from_slice(&buf_t);
-                    },
-                )
-            }
-            Self::SparseCholesky(f) => {
-                // LDLᵀ is symmetric: A = Aᵀ, one solve serves both.
-                let mut buf = Vec::new();
-                let solve = |b: &[f64], x: &mut [f64]| {
-                    f.solve_into(b, &mut buf);
-                    x.copy_from_slice(&buf);
-                };
-                let mut buf2 = Vec::new();
-                let solve_t = |b: &[f64], x: &mut [f64]| {
-                    f.solve_into(b, &mut buf2);
-                    x.copy_from_slice(&buf2);
-                };
-                health::condest_1norm(f.n(), f.anorm_1(), solve, solve_t)
-            }
-        };
-        metrics::gauge(health::names::COND_EST).set(kappa);
-        metrics::counter(health::names::COND_SAMPLES).inc();
-        Some(kappa)
-    }
-
     /// LU pivot-growth factor `max|U| / max|A|` of the stored factors —
     /// a large value signals element growth eating precision. `None`
     /// on the dense and Cholesky backends (Cholesky health is tracked
@@ -316,7 +263,9 @@ impl MnaFactorization {
     /// dimension (and, for the sparse backend, the same sparsity
     /// pattern). The sparse path reuses the pivot order and elimination
     /// schedules; on a reused pivot going numerically bad it falls back
-    /// to a full re-pivoting factorization automatically.
+    /// to a full re-pivoting factorization automatically, and so does a
+    /// matrix whose backend (dense or sparse) differs from the factored
+    /// one.
     ///
     /// # Errors
     ///
@@ -325,8 +274,8 @@ impl MnaFactorization {
     ///
     /// # Panics
     ///
-    /// Panics when the backend kind or dimension differs from the
-    /// factored one.
+    /// Panics when a sparse factorization meets a sparse matrix of a
+    /// different dimension.
     pub fn refactor(&mut self, matrix: &MnaMatrix) -> Result<(), CircuitError> {
         metrics::counter("solver.refactor").inc();
         let _t = hotwire_obs::trace::span("solver.refactor_time");
@@ -352,14 +301,16 @@ impl MnaFactorization {
                 }
                 ok
             }
-            _ => panic!("refactor backend mismatch"),
+            // A dense factorization against a sparse stamp, or the
+            // reverse: nothing to reuse.
+            _ => false,
         };
         if !in_place_ok {
             // Pivot order (LU) or definiteness (LDLᵀ) went stale for the
-            // new values; re-dispatch from scratch. A Cholesky backend
-            // may come back as LU (values no longer SPD); an LU backend
-            // stays LU — dispatch chose it for a non-SPD candidate or
-            // after a pivot failure.
+            // new values, or the backend changed; re-dispatch from
+            // scratch. A Cholesky backend may come back as LU (values no
+            // longer SPD); an LU backend stays LU — dispatch chose it for
+            // a non-SPD candidate or after a pivot failure.
             metrics::counter("solver.refactor_fallback").inc();
             let keep_lu = matches!(&*self, Self::Sparse(_));
             *self = matrix.factor_dispatch(keep_lu)?;
@@ -429,30 +380,24 @@ mod tests {
     }
 
     #[test]
-    fn condition_estimate_tracks_the_diagonal_spread() {
-        // A diagonal system has κ₁ = max/min exactly and takes the LDLᵀ.
-        let mut m = MnaMatrix::sparse(3);
-        m.add(0, 0, 100.0);
-        m.add(1, 1, 1.0);
-        m.add(2, 2, 10.0);
-        // Adding A[1][0] = 50 breaks the symmetry, so the same stamp goes
-        // to LU: ‖A‖₁ = 150 (column 0) and A⁻¹ = [[0.01, 0, 0],
-        // [−0.5, 1, 0], [0, 0, 0.1]] has ‖A⁻¹‖₁ = 1, so κ₁ = 150.
-        let mut skew = m.clone();
-        skew.add(1, 0, 50.0);
-        for (m, path, kappa) in [
-            (m, SolverPath::SparseCholesky, 100.0),
-            (skew, SolverPath::SparseLu, 150.0),
+    fn refactor_across_backends_solves_like_a_fresh_factor() {
+        // A dense factorization refactored against a sparse stamp of the
+        // same system (and the reverse) re-dispatches from scratch.
+        let b = [0.0, 0.0, 1.0];
+        for (mut first, mut second) in [
+            (MnaMatrix::dense(3), MnaMatrix::sparse(3)),
+            (MnaMatrix::sparse(3), MnaMatrix::dense(3)),
         ] {
-            let f = m.factor().unwrap();
-            assert_eq!(f.path(), path);
-            let est = f.condition_estimate().unwrap();
-            assert!((est - kappa).abs() < 1e-9, "{path:?}: {est}");
+            stamp_test_system(&mut first);
+            stamp_test_system(&mut second);
+            let mut f = first.factor().unwrap();
+            f.refactor(&second).unwrap();
+            assert_eq!(f.path(), second.factor().unwrap().path());
+            let fresh = second.solve(&b).unwrap();
+            for (a, b) in f.solve(&b).iter().zip(&fresh) {
+                assert!((a - b).abs() < 1e-12, "refactored {a} vs fresh {b}");
+            }
         }
-        let mut d = MnaMatrix::dense(2);
-        d.add(0, 0, 1.0);
-        d.add(1, 1, 1.0);
-        assert!(d.factor().unwrap().condition_estimate().is_none());
     }
 
     #[test]

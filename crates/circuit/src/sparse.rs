@@ -144,15 +144,6 @@ impl SparseMatrix {
         }
     }
 
-    /// The 1-norm ‖A‖₁ (maximum column absolute sum) of the stamped
-    /// matrix, with duplicate stamps summed first — the cheap half of
-    /// the Hager/Higham condition estimate.
-    #[must_use]
-    pub fn norm_1(&self) -> f64 {
-        let csc = self.to_csc();
-        csc.norm_1()
-    }
-
     /// Factors `A = P⁻¹·L·U` by left-looking sparse LU with partial
     /// pivoting.
     ///
@@ -176,18 +167,6 @@ pub(crate) struct Csc {
 }
 
 impl Csc {
-    /// ‖A‖₁ — maximum column absolute sum (duplicates already combined).
-    pub(crate) fn norm_1(&self) -> f64 {
-        (0..self.col_ptr.len().saturating_sub(1))
-            .map(|j| {
-                self.values[self.col_ptr[j]..self.col_ptr[j + 1]]
-                    .iter()
-                    .map(|v| v.abs())
-                    .sum()
-            })
-            .fold(0.0, f64::max)
-    }
-
     /// Largest entry magnitude (pivot-growth denominator).
     pub(crate) fn max_abs(&self) -> f64 {
         self.values.iter().map(|v| v.abs()).fold(0.0, f64::max)
@@ -221,10 +200,6 @@ pub struct Factorization {
     /// for `refactor`.
     pattern_ptr: Vec<usize>,
     pattern_rows: Vec<u32>,
-    /// ‖A‖₁ of the matrix behind the current numeric values, refreshed
-    /// by [`Factorization::refactor`] — the cheap half of a condition
-    /// estimate.
-    anorm_1: f64,
     /// Pivot growth max|U| / max|A| of the current numeric values; a
     /// large factor means the elimination amplified entries and the
     /// factorization's backward error budget is spent.
@@ -245,7 +220,6 @@ impl Factorization {
             pinv: vec![u32::MAX; n],
             pattern_ptr: vec![0; n + 1],
             pattern_rows: Vec::new(),
-            anorm_1: a.norm_1(),
             pivot_growth: 0.0,
         };
         // Workspaces, all indexed by ORIGINAL row during factorization.
@@ -406,13 +380,6 @@ impl Factorization {
         self.l_vals.len() + self.u_vals.len() + self.n
     }
 
-    /// ‖A‖₁ of the matrix behind the current numeric values (refreshed
-    /// on [`Factorization::refactor`]).
-    #[must_use]
-    pub fn anorm_1(&self) -> f64 {
-        self.anorm_1
-    }
-
     /// Pivot growth max|U| / max|A| of the current numeric values. Near
     /// 1 on well-behaved MNA stamps; large values mean the factors have
     /// amplified round-off and the solve's backward error is degraded.
@@ -475,7 +442,6 @@ impl Factorization {
                 self.l_vals[slot] = x[self.l_rows[slot] as usize] / pivot_val;
             }
         }
-        self.anorm_1 = a.norm_1();
         self.pivot_growth = Self::growth(&self.u_vals, &self.u_diag, a.max_abs());
         Ok(())
     }
@@ -526,60 +492,6 @@ impl Factorization {
                     x[r as usize] -= v * xj;
                 }
             }
-        }
-    }
-
-    /// Solves `Aᵀ·x = b` using the stored factors.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a length mismatch.
-    #[must_use]
-    pub fn solve_transposed(&self, b: &[f64]) -> Vec<f64> {
-        let mut x = vec![0.0; self.n];
-        self.solve_transposed_into(b, &mut x);
-        x
-    }
-
-    /// Solves `Aᵀ·x = b` into a caller-provided buffer (resized to `n`).
-    ///
-    /// With `A = P⁻¹·L·U` this is `Uᵀ·Lᵀ·P·x = b`: a forward pass on
-    /// `Uᵀ` (gathering each stored U column as a row), a backward pass
-    /// on `Lᵀ`, and a final un-permutation. Same O(nnz(L+U)) cost as
-    /// [`Factorization::solve_into`] — it powers the `Aᵀ` solves of the
-    /// Hager/Higham condition estimator without a second factorization.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `b.len() != n`.
-    pub fn solve_transposed_into(&self, b: &[f64], x: &mut Vec<f64>) {
-        assert_eq!(b.len(), self.n, "rhs length mismatch");
-        let mut w = b.to_vec();
-        // Forward: Uᵀ·w = b. Row j of Uᵀ is stored as U's column j
-        // (rows r < j), so this is a gather (dot product) per row.
-        for j in 0..self.n {
-            let (lo, hi) = (self.u_colptr[j], self.u_colptr[j + 1]);
-            let mut acc = w[j];
-            for (&r, &v) in self.u_rows[lo..hi].iter().zip(&self.u_vals[lo..hi]) {
-                acc -= v * w[r as usize];
-            }
-            w[j] = acc / self.u_diag[j];
-        }
-        // Backward: Lᵀ·v = w (unit diagonal); row j of Lᵀ is L's
-        // column j (rows r > j).
-        for j in (0..self.n).rev() {
-            let (lo, hi) = (self.l_colptr[j], self.l_colptr[j + 1]);
-            let mut acc = w[j];
-            for (&r, &v) in self.l_rows[lo..hi].iter().zip(&self.l_vals[lo..hi]) {
-                acc -= v * w[r as usize];
-            }
-            w[j] = acc;
-        }
-        // Un-permute: x = Pᵀ·v, the inverse of solve_into's scatter.
-        x.clear();
-        x.resize(self.n, 0.0);
-        for (i, xi) in x.iter_mut().enumerate() {
-            *xi = w[self.pinv[i] as usize];
         }
     }
 }
@@ -719,58 +631,13 @@ mod tests {
     }
 
     #[test]
-    fn transposed_solve_satisfies_the_transposed_system() {
-        // Unsymmetric matrix, so Aᵀ ≠ A and the permutation matters.
-        let mut m = SparseMatrix::zeros(4);
-        let entries = [
-            (0, 0, 0.1),
-            (0, 1, 2.0),
-            (1, 0, 3.0),
-            (1, 2, -1.0),
-            (2, 1, -4.0),
-            (2, 2, 5.0),
-            (2, 3, 1.0),
-            (3, 0, 1.0),
-            (3, 3, 2.5),
-        ];
-        for (r, c, v) in entries {
-            m.add(r, c, v);
-        }
-        let f = m.factor().unwrap();
-        let b = [1.0, -2.0, 0.5, 3.0];
-        let x = f.solve_transposed(&b);
-        // Aᵀx = b ⇔ for each column c of A: Σ_r A[r,c]·x[r] = b[c].
-        let mut atx = [0.0; 4];
-        for (r, c, v) in entries {
-            atx[c] += v * x[r];
-        }
-        for (got, want) in atx.iter().zip(&b) {
-            assert!((got - want).abs() < 1e-12, "{atx:?} vs {b:?}");
-        }
-    }
-
-    #[test]
-    fn transposed_solve_matches_plain_solve_on_symmetric_grids() {
-        let m = grid_laplacian(7, 5);
-        let f = m.factor().unwrap();
-        let b: Vec<f64> = (0..m.n()).map(|i| ((i * 13) % 11) as f64 - 5.0).collect();
-        let x = f.solve(&b);
-        let xt = f.solve_transposed(&b);
-        for (a, b) in x.iter().zip(&xt) {
-            assert!((a - b).abs() < 1e-9 * (1.0 + a.abs()));
-        }
-    }
-
-    #[test]
-    fn norm_and_growth_diagnostics() {
+    fn growth_diagnostics() {
         let mut m = SparseMatrix::zeros(2);
         m.add(0, 0, 3.0);
-        m.add(0, 0, 1.0); // duplicate sums before |·|
+        m.add(0, 0, 1.0);
         m.add(1, 0, -2.0);
         m.add(1, 1, 5.0);
-        assert!((m.norm_1() - 6.0).abs() < 1e-15, "max(4+2, 5) = 6");
         let mut f = m.factor().unwrap();
-        assert!((f.anorm_1() - 6.0).abs() < 1e-15);
         // Partial pivoting keeps growth modest on any 2×2.
         assert!(f.pivot_growth() >= 1.0 - 1e-12 && f.pivot_growth() <= 2.0);
         let mut m2 = SparseMatrix::zeros(2);
@@ -778,7 +645,6 @@ mod tests {
         m2.add(1, 0, -4.0);
         m2.add(1, 1, 10.0);
         f.refactor(&m2).unwrap();
-        assert!((f.anorm_1() - 12.0).abs() < 1e-15, "refreshed on refactor");
         assert!(f.pivot_growth() > 0.0);
     }
 

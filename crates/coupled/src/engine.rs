@@ -198,7 +198,7 @@ pub struct CoupledReport {
     /// The chip TTF at the configured failure quantile.
     pub chip_ttf: Option<Seconds>,
     /// Numerical-health summary of the run: Picard rate fit, condition
-    /// estimate, post-solve residual, and KCL audit (what a diagnostic
+    /// number, post-solve residual, and KCL audit (what a diagnostic
     /// bundle embeds and `hotwire doctor` renders).
     pub health: HealthReport,
 }
@@ -679,10 +679,11 @@ impl CoupledEngine {
     }
 
     /// Numerical-health summary of the run so far: the Picard rate fit
-    /// over the delta history plus whatever the electrical solver's
-    /// monitors have sampled. Available mid-run and after a failed
-    /// [`CoupledEngine::run`] — the error-path diagnostic bundles lean
-    /// on exactly that.
+    /// over the delta history plus the electrical solver's monitors,
+    /// including the condition number of the matrix behind the current
+    /// voltages (one extra solve per call). Available mid-run and after
+    /// a failed [`CoupledEngine::run`] — the error-path diagnostic
+    /// bundles lean on exactly that.
     #[must_use]
     pub fn health_report(&self) -> HealthReport {
         let kcl = if self.converged && self.solver.solve_count() > 0 {
@@ -695,7 +696,7 @@ impl CoupledEngine {
             iterations: self.deltas.len() as u64,
             last_delta: self.deltas.last().copied().unwrap_or(0.0),
             tolerance: self.options.tolerance,
-            condition_estimate: self.solver.condition_estimate(),
+            condition_estimate: self.solver.condition_number(),
             residual_rel: self.solver.last_residual_rel(),
             kcl_imbalance_rel: kcl,
             pivot_growth: self.solver.pivot_growth(),

@@ -1,5 +1,5 @@
-//! Numerical-health assessment: condition estimation, convergence-rate
-//! fitting, and the `health.*` metric catalog.
+//! Numerical-health assessment: convergence-rate fitting, the health
+//! summary, and the `health.*` metric catalog.
 //!
 //! The solver stack can fail in ways a residual history alone cannot
 //! explain — a near-singular MNA matrix, pivot growth eating the
@@ -14,105 +14,10 @@
 //! Everything here is feature-independent pure arithmetic: the
 //! `telemetry` feature gates *recording*, not *assessment*, so a
 //! `--no-default-features` build still classifies its own convergence.
-//!
-//! # Condition estimation
-//!
-//! [`condest_1norm`] is Hager's 1-norm power iteration in the form
-//! popularized by Higham (the LAPACK `xLACON` kernel): it estimates
-//! ‖A⁻¹‖₁ from a handful of solves with an existing factorization of
-//! `A` and `Aᵀ`, never forming the inverse. The estimate is a **lower
-//! bound** on the true condition number; in practice it is within a
-//! small factor (the property tests in `tests/health_properties.rs`
-//! pin [`CONDEST_UNDERESTIMATE_FACTOR`]).
+//! The condition number itself is computed where the factorization
+//! lives, by `hotwire_circuit::grid_dc::DcGridSolver`.
 
 use crate::json::Json;
-
-/// Documented worst-case slack of [`condest_1norm`] on the random
-/// grid-like matrices the property tests generate: the estimate is an
-/// exact lower bound (`est ≤ κ₁`) and is asserted to stay within this
-/// multiplicative factor of the true 1-norm condition number
-/// (`est ≥ κ₁ / CONDEST_UNDERESTIMATE_FACTOR`). Hager's iteration has
-/// adversarial counterexamples far worse than this, but they do not
-/// arise from diagonally-dominant MNA stamps.
-pub const CONDEST_UNDERESTIMATE_FACTOR: f64 = 10.0;
-
-/// Hager iterations before giving up; Higham reports the iteration
-/// almost always converges in 2, and LAPACK caps at 5.
-const CONDEST_MAX_ITERS: usize = 5;
-
-/// Estimates the 1-norm condition number κ₁(A) = ‖A‖₁‖A⁻¹‖₁ of an
-/// already-factored `n × n` matrix via Hager/Higham power iteration on
-/// ‖A⁻¹‖₁.
-///
-/// `anorm_1` is ‖A‖₁ of the stamped matrix (cheap: max column absolute
-/// sum). `solve(b, x)` must write `x = A⁻¹b` and `solve_transposed(b,
-/// x)` must write `x = A⁻ᵀb`, both reusing the factorization — the
-/// whole estimate costs O(few solves), no refactorization.
-///
-/// Returns `0.0` for an empty matrix, `f64::INFINITY` when a solve
-/// produces non-finite values (numerically singular), and otherwise a
-/// lower bound on κ₁ (see [`CONDEST_UNDERESTIMATE_FACTOR`]).
-pub fn condest_1norm(
-    n: usize,
-    anorm_1: f64,
-    mut solve: impl FnMut(&[f64], &mut [f64]),
-    mut solve_transposed: impl FnMut(&[f64], &mut [f64]),
-) -> f64 {
-    if n == 0 || anorm_1 == 0.0 {
-        return 0.0;
-    }
-    #[allow(clippy::cast_precision_loss)]
-    let mut x = vec![1.0 / n as f64; n];
-    let mut y = vec![0.0; n];
-    let mut z = vec![0.0; n];
-    let mut est = 0.0_f64;
-    for iter in 0..CONDEST_MAX_ITERS {
-        solve(&x, &mut y);
-        let ynorm: f64 = y.iter().map(|v| v.abs()).sum();
-        if !ynorm.is_finite() {
-            return f64::INFINITY;
-        }
-        // The iteration is an ascent on ‖A⁻¹x‖₁ over the unit 1-norm
-        // ball; once a step stops improving the previous estimate is
-        // the answer.
-        if iter > 0 && ynorm <= est {
-            break;
-        }
-        est = ynorm;
-        let xi: Vec<f64> = y
-            .iter()
-            .map(|&v| if v < 0.0 { -1.0 } else { 1.0 })
-            .collect();
-        solve_transposed(&xi, &mut z);
-        if z.iter().any(|v| !v.is_finite()) {
-            return f64::INFINITY;
-        }
-        let (j, zmax) = z
-            .iter()
-            .enumerate()
-            .fold((0, 0.0_f64), |(bj, bv), (i, &v)| {
-                if v.abs() > bv {
-                    (i, v.abs())
-                } else {
-                    (bj, bv)
-                }
-            });
-        let ztx: f64 = z.iter().zip(&x).map(|(a, b)| a * b).sum();
-        // Optimality test: the subgradient certificate z attains its
-        // max at the current vertex — no better e_j exists.
-        if zmax <= ztx.abs() {
-            break;
-        }
-        x.iter_mut().for_each(|v| *v = 0.0);
-        x[j] = 1.0;
-    }
-    let kappa = est * anorm_1;
-    if kappa.is_finite() {
-        kappa
-    } else {
-        f64::INFINITY
-    }
-}
 
 /// Early classification of a fixed-point iteration from its residual
 /// (`delta`) history.
@@ -277,16 +182,19 @@ pub struct HealthReport {
     pub last_delta: f64,
     /// The convergence threshold the loop was aiming for.
     pub tolerance: f64,
-    /// Hager/Higham κ₁ estimate of the most recently sampled
-    /// electrical factorization, when one was computed.
+    /// Condition number κ₁ = κ∞ of the electrical matrix behind the
+    /// reported voltages, exact to rounding (the grid stamp is a
+    /// symmetric M-matrix, so one solve A·y = 1 gives ‖A⁻¹‖∞ = max y);
+    /// `None` when no unknown was factored. The historical name is kept
+    /// as the bundle key.
     pub condition_estimate: Option<f64>,
     /// Worst post-solve relative residual ‖Ax−b‖∞/‖b‖∞ observed.
     pub residual_rel: Option<f64>,
     /// KCL current-conservation audit: worst per-node current
     /// imbalance relative to the total load current.
     pub kcl_imbalance_rel: Option<f64>,
-    /// LU pivot-growth factor max|U| / max|A| of the sampled
-    /// factorization.
+    /// LU pivot-growth factor max|U| / max|A| of the electrical
+    /// factorization, when the LU served it.
     pub pivot_growth: Option<f64>,
 }
 
@@ -356,9 +264,10 @@ impl HealthReport {
 /// `docs/OBSERVABILITY.md`). Centralized so the instrumented crates,
 /// the CI schema assertions, and the docs cannot drift apart.
 pub mod names {
-    /// Gauge: Hager/Higham κ₁ estimate of the sampled factorization.
+    /// Gauge: condition number κ₁ of the electrical matrix, one solve
+    /// with its factorization.
     pub const COND_EST: &str = "health.cond_est";
-    /// Counter: condition estimates computed (sampling, not per-solve).
+    /// Counter: condition numbers computed (one per health report).
     pub const COND_SAMPLES: &str = "health.cond_samples";
     /// Gauge: last post-solve relative residual ‖Ax−b‖∞/‖b‖∞.
     pub const RESIDUAL_REL: &str = "health.residual_rel";
@@ -387,110 +296,6 @@ pub mod names {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// 1-norm of a dense row-major `n × n` matrix.
-    fn norm_1(a: &[Vec<f64>]) -> f64 {
-        let n = a.len();
-        (0..n)
-            .map(|j| (0..n).map(|i| a[i][j].abs()).sum())
-            .fold(0.0, f64::max)
-    }
-
-    /// Partially-pivoted Gaussian elimination solve, fine for the tiny
-    /// well-conditioned fixtures below.
-    fn dense_solve(a: &[Vec<f64>], b: &[f64]) -> Vec<f64> {
-        let n = a.len();
-        let mut m: Vec<Vec<f64>> = a.to_vec();
-        let mut x = b.to_vec();
-        for k in 0..n {
-            let p = (k..n)
-                .max_by(|&i, &j| m[i][k].abs().total_cmp(&m[j][k].abs()))
-                .unwrap();
-            m.swap(k, p);
-            x.swap(k, p);
-            let (pivot_rows, rest) = m.split_at_mut(k + 1);
-            let pivot = &pivot_rows[k];
-            for (off, row) in rest.iter_mut().enumerate() {
-                let f = row[k] / pivot[k];
-                for (rj, &pj) in row[k..].iter_mut().zip(&pivot[k..]) {
-                    *rj -= f * pj;
-                }
-                x[k + 1 + off] -= f * x[k];
-            }
-        }
-        for i in (0..n).rev() {
-            for j in i + 1..n {
-                let xj = x[j];
-                x[i] -= m[i][j] * xj;
-            }
-            x[i] /= m[i][i];
-        }
-        x
-    }
-
-    fn transpose(a: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        let n = a.len();
-        (0..n).map(|i| (0..n).map(|j| a[j][i]).collect()).collect()
-    }
-
-    fn exact_cond_1(a: &[Vec<f64>]) -> f64 {
-        let n = a.len();
-        // ‖A⁻¹‖₁ column by column.
-        let inv_norm = (0..n)
-            .map(|j| {
-                let mut e = vec![0.0; n];
-                e[j] = 1.0;
-                dense_solve(a, &e).iter().map(|v| v.abs()).sum::<f64>()
-            })
-            .fold(0.0, f64::max);
-        norm_1(a) * inv_norm
-    }
-
-    fn estimate(a: &[Vec<f64>]) -> f64 {
-        let at = transpose(a);
-        condest_1norm(
-            a.len(),
-            norm_1(a),
-            |b, x| x.copy_from_slice(&dense_solve(a, b)),
-            |b, x| x.copy_from_slice(&dense_solve(&at, b)),
-        )
-    }
-
-    #[test]
-    fn condest_is_exact_on_diagonal_matrices() {
-        let a = vec![
-            vec![4.0, 0.0, 0.0],
-            vec![0.0, 0.5, 0.0],
-            vec![0.0, 0.0, 2.0],
-        ];
-        let est = estimate(&a);
-        assert!((est - 8.0).abs() < 1e-12, "κ₁ = 4/0.5 = 8, got {est}");
-    }
-
-    #[test]
-    fn condest_lower_bounds_and_tracks_the_exact_value() {
-        let a = vec![
-            vec![10.0, -1.0, 0.0, -2.0],
-            vec![-1.0, 7.0, -3.0, 0.0],
-            vec![0.0, -3.0, 9.0, -1.0],
-            vec![-2.0, 0.0, -1.0, 6.0],
-        ];
-        let exact = exact_cond_1(&a);
-        let est = estimate(&a);
-        assert!(est <= exact * (1.0 + 1e-9), "est {est} > exact {exact}");
-        assert!(
-            est >= exact / CONDEST_UNDERESTIMATE_FACTOR,
-            "est {est} too far below exact {exact}"
-        );
-    }
-
-    #[test]
-    fn condest_flags_singularity_as_infinite() {
-        // Solve against a singular matrix yields non-finite values.
-        let est = condest_1norm(2, 1.0, |_, x| x.fill(f64::NAN), |_, x| x.fill(f64::NAN));
-        assert_eq!(est, f64::INFINITY);
-        assert_eq!(condest_1norm(0, 0.0, |_, _| (), |_, _| ()), 0.0);
-    }
 
     #[test]
     fn geometric_decay_is_converging_with_a_rate() {

@@ -53,10 +53,12 @@ use hotwire::units::{Celsius, CurrentDensity, Length, Seconds};
 /// Graceful-shutdown plumbing for `hotwire serve`: SIGINT/SIGTERM set a
 /// flag that the server's control thread polls; it then wakes the
 /// workers blocked in `accept()`, lets them finish their requests in
-/// flight, and the process exits 0 instead of dying mid-response.
+/// flight, and the process exits 0 instead of dying mid-response. Every
+/// other command gets SIGPIPE's default disposition back, so a closed
+/// stdout (`hotwire sweep | head`) ends it quietly.
 ///
 /// Installed with the raw C `signal(2)` — the workspace has no `libc`
-/// crate (offline build), and the two constants below are part of the
+/// crate (offline build), and the constants below are part of the
 /// Linux/POSIX ABI this binary targets. This is the only unsafe in the
 /// workspace; every library crate stays `#![forbid(unsafe_code)]`.
 mod shutdown {
@@ -65,8 +67,10 @@ mod shutdown {
     use std::sync::OnceLock;
 
     const SIGINT: i32 = 2;
+    const SIGPIPE: i32 = 13;
     const SIGTERM: i32 = 15;
     const SIGUSR1: i32 = 10;
+    const SIG_DFL: usize = 0;
 
     extern "C" {
         fn signal(signum: i32, handler: usize) -> usize;
@@ -109,6 +113,17 @@ mod shutdown {
         let handler = on_usr1 as extern "C" fn(i32) as *const () as usize;
         unsafe {
             signal(SIGUSR1, handler);
+        }
+    }
+
+    /// Restores SIGPIPE's default disposition, which the Rust runtime
+    /// sets to ignore before `main`: a write to a closed pipe then ends
+    /// the process instead of surfacing as a panicking `println!`.
+    pub fn restore_sigpipe() {
+        // SAFETY: SIG_DFL installs no handler code, so nothing runs in
+        // signal context; `signal` only swaps the process disposition.
+        unsafe {
+            signal(SIGPIPE, SIG_DFL);
         }
     }
 }
@@ -306,6 +321,11 @@ fn bundle_dir(args: &[String]) -> Option<String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // `serve` keeps SIGPIPE ignored: a client that hangs up is an EPIPE
+    // on its socket, not a dead server.
+    if args.first().map(String::as_str) != Some("serve") {
+        shutdown::restore_sigpipe();
+    }
     let config = match log_config(&args) {
         Ok(config) => config,
         Err(e) => {
@@ -932,10 +952,16 @@ fn cmd_coupled_signoff(opts: &Flags, format: TraceFormat) -> Result<(), CliError
     let (rows, cols) = (spec.rows, spec.cols);
     let options_quantile = options.failure_quantile;
     let mut engine = CoupledEngine::new(spec, options).map_err(coupled_error)?;
-    let run_result = engine.run();
+    let outcome = engine.run().and_then(|()| engine.assess());
     // Whatever happens next, the health report (Picard rate fit,
-    // condition estimate, residuals) is ready for an error-exit bundle.
-    bundle_state::set_health(engine.health_report().to_json());
+    // condition number, residuals) is ready for an error-exit bundle:
+    // the report's own on success, a fresh one only on failure, so a run
+    // pays for one condition-number solve.
+    let health = match &outcome {
+        Ok(report) => report.health.to_json(),
+        Err(_) => engine.health_report().to_json(),
+    };
+    bundle_state::set_health(health);
     // The convergence trace is most valuable exactly when run() failed —
     // write it before propagating, so a NotConverged/Diverged post-mortem
     // still has the residual history on disk. (Span formats are written
@@ -945,8 +971,7 @@ fn cmd_coupled_signoff(opts: &Flags, format: TraceFormat) -> Result<(), CliError
             write_json_file(path, &engine.trace().to_json())?;
         }
     }
-    run_result.map_err(coupled_error)?;
-    let report = engine.assess().map_err(coupled_error)?;
+    let report = outcome.map_err(coupled_error)?;
     println!(
         "{rows}×{cols} grid: fixed point in {} iterations (last max |dT| = {:.3e} K)",
         report.iterations,

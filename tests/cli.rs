@@ -1,5 +1,6 @@
 //! End-to-end tests of the `hotwire` CLI binary.
 
+use std::io::{BufRead, BufReader};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -80,6 +81,35 @@ fn sweep_emits_csv() {
     for line in &lines[1..] {
         assert_eq!(line.split(',').count(), 4);
     }
+}
+
+/// A reader that stops after one line (`hotwire sweep … | head -1`)
+/// closes the pipe under the CLI, which must end quietly: no panic on
+/// stderr and no panic bundle.
+#[test]
+fn closed_stdout_ends_quietly() {
+    let dir = std::env::temp_dir().join(format!("hotwire-pipe-{}", std::process::id()));
+    let bundles = dir.join("bundles");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_hotwire"))
+        .args([
+            "sweep", "--tech", "ntrs-250", "--layer", "M6", "--points", "20000",
+        ])
+        .args(["--bundle-dir", bundles.to_str().unwrap()])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(first.starts_with("r,"), "{first}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+    assert!(!bundles.exists(), "no bundle for a closed pipe");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -718,5 +748,32 @@ fn doctor_rejects_bad_invocations() {
     // Unknown flags are rejected.
     let (code, _, stderr) = hotwire_status(&["doctor", "--bogus", "x"]);
     assert_eq!(code, Some(2), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `hotwire doctor` diagnoses `ill-conditioned` from the health block's
+/// condition number: κ 1e14 is, κ 1e3 is not.
+#[test]
+fn doctor_flags_an_ill_conditioned_bundle() {
+    let dir = std::env::temp_dir().join(format!("hotwire-illcond-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (kappa, ill) in [(1e14, true), (1e3, false)] {
+        let path = dir.join(format!("kappa-{kappa:e}.json"));
+        let bundle = format!(
+            "{{\"schema\": \"hotwire.bundle/v1\", \"reason\": \"error\", \
+             \"detail\": \"synthetic\", \"health\": {{\"class\": \"converging\", \
+             \"contraction\": 0.5, \"iterations\": 4, \"last_delta\": 1e-3, \
+             \"tolerance\": 0.05, \"condition_estimate\": {kappa:e}}}}}\n"
+        );
+        std::fs::write(&path, bundle).unwrap();
+        let (ok, stdout, stderr) = hotwire(&["doctor", path.to_str().unwrap()]);
+        assert!(ok, "{stderr}");
+        assert!(stdout.contains("numerical health:"), "{stdout}");
+        assert_eq!(
+            stdout.contains("diagnosis: ill-conditioned"),
+            ill,
+            "κ {kappa:e}: {stdout}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
