@@ -242,7 +242,7 @@ fn f() {
         &[(\"iteration\", FieldValue::U64(1))],
     );
     metrics::gauge(names::COND_EST).set(1.0); // const indirection: not a literal
-    recorder::record(\"em.nucleation\", format_args!(\"x\")); // flight-recorder kind, not a metric
+    trace::event(Level::Debug, \"em.nucleation\", \"x\", &[]); // event target, not a metric
 }
 ";
         assert_eq!(regs(src, false), vec!["solver.factor", "coupled.iteration"]);

@@ -35,7 +35,8 @@
 
 use crate::solver::{MnaFactorization, MnaMatrix, SolverPath};
 use crate::CircuitError;
-use hotwire_obs::{health, metrics, recorder};
+use hotwire_obs::trace::{self, FieldValue, Level};
+use hotwire_obs::{health, metrics};
 
 /// Default relative-residual warn threshold: ‖Ax−b‖∞/‖b‖∞ beyond this
 /// increments `health.residual_warn` and logs a warning. Direct sparse
@@ -301,12 +302,15 @@ impl DcGridSolver {
         metrics::gauge(health::names::RESIDUAL_REL).set(rel);
         if rel.is_nan() || rel > self.residual_warn {
             metrics::counter(health::names::RESIDUAL_WARN).inc();
-            recorder::record(
+            trace::event(
+                Level::Warn,
                 "health.residual_warn",
-                format_args!(
-                    "relative residual {rel:.3e} exceeds threshold {:.3e} on {} unknowns",
-                    self.residual_warn, self.n_unknowns
-                ),
+                "relative residual exceeds threshold",
+                &[
+                    ("residual_rel", FieldValue::F64(rel)),
+                    ("threshold", FieldValue::F64(self.residual_warn)),
+                    ("unknowns", FieldValue::from(self.n_unknowns)),
+                ],
             );
         }
     }
@@ -349,12 +353,14 @@ impl DcGridSolver {
         metrics::gauge(health::names::KCL_IMBALANCE_REL).set(rel);
         if rel.is_nan() || rel > self.residual_warn {
             metrics::counter(health::names::KCL_WARN).inc();
-            recorder::record(
+            trace::event(
+                Level::Warn,
                 "health.kcl_warn",
-                format_args!(
-                    "KCL imbalance {rel:.3e} across {} free nodes",
-                    self.n_unknowns
-                ),
+                "KCL imbalance exceeds threshold",
+                &[
+                    ("imbalance_rel", FieldValue::F64(rel)),
+                    ("free_nodes", FieldValue::from(self.n_unknowns)),
+                ],
             );
         }
         rel

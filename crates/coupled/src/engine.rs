@@ -31,8 +31,8 @@ use hotwire_em::blech::BlechModel;
 use hotwire_em::lifetime::{LognormalLifetime, WeakestLinkPopulation};
 use hotwire_em::BlackModel;
 use hotwire_obs::health::{self, ConvergenceClass, HealthReport};
-use hotwire_obs::trace::FieldValue;
-use hotwire_obs::{metrics, recorder, trace as obs_trace};
+use hotwire_obs::trace::{FieldValue, Level};
+use hotwire_obs::{metrics, trace as obs_trace};
 use hotwire_tech::{Dielectric, Metal};
 use hotwire_thermal::chip::ChipThermalModel;
 use hotwire_thermal::impedance::{effective_width, InsulatorStack, QUASI_2D_PHI};
@@ -178,17 +178,13 @@ pub struct BranchAssessment {
 pub struct CoupledReport {
     /// Picard iterations to convergence.
     pub iterations: usize,
-    /// Max |ΔT| update of every iteration (K), in order.
-    pub iteration_deltas: Vec<f64>,
     /// Largest supply droop anywhere on the grid.
     pub worst_ir_drop: Voltage,
     /// The intersection with the largest droop.
     pub worst_node: (usize, usize),
     /// The hottest strap's metal temperature.
     pub peak_temperature: Kelvin,
-    /// The full per-iteration residual history (what
-    /// `coupled-signoff --trace-out` writes; superset of
-    /// [`CoupledReport::iteration_deltas`]).
+    /// The per-iteration residual history, one record per iteration.
     pub trace: ConvergenceTrace,
     /// Every strap's assessment, in grid order.
     pub branches: Vec<BranchAssessment>,
@@ -241,7 +237,6 @@ pub struct CoupledEngine {
     branch_r_mult: Vec<f64>,
     node_power: Vec<f64>,
     node_rise: Vec<f64>,
-    deltas: Vec<f64>,
     records: Vec<IterationRecord>,
     converged: bool,
 }
@@ -253,11 +248,25 @@ impl CoupledEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`CoupledError::InvalidSpec`] for degenerate geometry,
-    /// an empty or out-of-range pad list, or bad options.
+    /// Returns [`CoupledError::InvalidSpec`] for degenerate geometry, a
+    /// grid of more than `u32::MAX` intersections, an empty or
+    /// out-of-range pad list, or bad options.
     pub fn new(spec: CoupledGridSpec, options: CoupledOptions) -> Result<Self, CoupledError> {
         let invalid = |message: String| CoupledError::InvalidSpec { message };
-        if spec.rows == 0 || spec.cols == 0 || spec.rows * spec.cols < 2 {
+        // The LDLᵀ and AMD arrays index nodes with `u32`.
+        let nodes = spec
+            .rows
+            .checked_mul(spec.cols)
+            .filter(|&n| u32::try_from(n).is_ok())
+            .ok_or_else(|| {
+                invalid(format!(
+                    "a {}×{} grid has more than {} intersections",
+                    spec.rows,
+                    spec.cols,
+                    u32::MAX
+                ))
+            })?;
+        if nodes < 2 {
             return Err(invalid(format!(
                 "grid needs at least 2 intersections, got {}×{}",
                 spec.rows, spec.cols
@@ -361,12 +370,12 @@ impl CoupledEngine {
             .map(|&(r, c)| (r * cols + c, spec.vdd.value()))
             .collect();
         let mut solver = DcGridSolver::new(
-            rows * cols,
+            nodes,
             node_branches,
             &pinned,
             TransientOptions::default().gmin,
         )?;
-        for cell in 0..rows * cols {
+        for cell in 0..nodes {
             solver.set_sink(cell, spec.sink_per_node.value());
         }
 
@@ -393,9 +402,8 @@ impl CoupledEngine {
             branch_t: vec![t0.value(); n_branches],
             branch_g: vec![0.0; n_branches],
             branch_r_mult: vec![1.0; n_branches],
-            node_power: vec![0.0; rows * cols],
+            node_power: vec![0.0; nodes],
             node_rise: Vec::new(),
-            deltas: Vec::new(),
             records: Vec::new(),
             converged: false,
         })
@@ -409,12 +417,14 @@ impl CoupledEngine {
     /// ([`CoupledError::Thermal`]) solve failures.
     pub fn step(&mut self) -> Result<f64, CoupledError> {
         metrics::counter("coupled.iterations").inc();
+        let iteration = self.records.len() + 1;
         // The per-iteration span carries the 1-based iteration index as
         // an attribute, so `hotwire trace` can key its critical-path
-        // extraction on it; the stage spans below nest underneath.
-        let _iter_span = obs_trace::span_with(
+        // extraction on it; the stage spans below nest underneath, and
+        // its close carries the iteration's record.
+        let iter_span = obs_trace::span_with(
             "coupled.iteration",
-            &[("iteration", FieldValue::U64(self.deltas.len() as u64 + 1))],
+            &[("iteration", FieldValue::U64(iteration as u64))],
         );
         let step_start = hotwire_obs::Stopwatch::start();
         let metal = &self.spec.metal;
@@ -454,7 +464,7 @@ impl CoupledEngine {
         }
         let thermal = thermal_start.elapsed();
         // 3. Damped update toward the substrate-referenced field.
-        let _t_update = obs_trace::span("coupled.update_time");
+        let update_span = obs_trace::span("coupled.update_time");
         let t_ref = self.spec.reference_temperature.value();
         let alpha = self.options.damping;
         let mut delta = 0.0_f64;
@@ -467,7 +477,6 @@ impl CoupledEngine {
             delta = delta.max(change.abs());
             peak = peak.max(self.branch_t[k]);
         }
-        self.deltas.push(delta);
         self.converged = delta <= self.options.tolerance;
         let worst_drop = self.spec.vdd.value()
             - self
@@ -476,7 +485,7 @@ impl CoupledEngine {
                 .iter()
                 .fold(f64::INFINITY, |m, &v| m.min(v));
         self.records.push(IterationRecord {
-            iteration: self.deltas.len(),
+            iteration,
             max_delta_t: delta,
             peak_temperature: peak,
             worst_ir_drop: worst_drop,
@@ -489,7 +498,7 @@ impl CoupledEngine {
         // Rate fit + early classification on the delta history so far;
         // the class counters let dashboards alarm on a sick loop long
         // before the iteration cap fires.
-        let rate = health::picard_rate(&self.deltas, self.options.tolerance);
+        let rate = health::picard_rate(&self.deltas(), self.options.tolerance);
         metrics::gauge(health::names::PICARD_CONTRACTION).set(rate.contraction);
         if let Some(n) = rate.predicted_iterations {
             #[allow(clippy::cast_precision_loss)]
@@ -507,128 +516,122 @@ impl CoupledEngine {
             }
             _ => {}
         }
-        recorder::record(
-            "coupled.iteration",
-            format_args!(
-                "iter {} delta {delta:.4e} K peak {peak:.2} K drop {worst_drop:.4} V \
-                 contraction {:.3} class {}",
-                self.deltas.len(),
-                rate.contraction,
-                rate.class.label()
-            ),
+        drop(update_span);
+        iter_span.close(
+            Level::Debug,
+            &[
+                ("max_delta_t_k", FieldValue::F64(delta)),
+                ("peak_temperature_k", FieldValue::F64(peak)),
+                ("worst_ir_drop_v", FieldValue::F64(worst_drop)),
+                ("class", FieldValue::Str(rate.class.label())),
+            ],
         );
-        if obs_trace::enabled(obs_trace::Level::Debug) {
-            obs_trace::debug(
-                "coupled",
-                "iteration",
-                &[
-                    ("iteration", FieldValue::U64(self.deltas.len() as u64)),
-                    ("max_delta_t_k", FieldValue::F64(delta)),
-                    ("peak_t_k", FieldValue::F64(peak)),
-                    ("worst_ir_drop_v", FieldValue::F64(worst_drop)),
-                ],
-            );
-        }
         Ok(delta)
     }
 
-    /// Runs [`CoupledEngine::step`] to convergence.
+    /// Runs [`CoupledEngine::step`] to convergence. The `coupled.run`
+    /// span closes on every exit path with the verdict (`converged`,
+    /// `tolerance_k`, `damping`).
     ///
     /// # Errors
     ///
     /// [`CoupledError::Diverged`] when the update keeps growing,
     /// [`CoupledError::NotConverged`] at the iteration cap, and
     /// [`CoupledError::BeyondResistivityRange`] when the settled state
-    /// is pinned at the metal fit's validity limit.
+    /// is pinned at the metal fit's validity limit (the engine then
+    /// counts as not converged).
     pub fn run(&mut self) -> Result<(), CoupledError> {
-        let _run_span = obs_trace::span("coupled.run");
-        recorder::record(
-            "coupled.run",
-            format_args!(
-                "start: {}x{} grid, tol {:.2e} K, damping {}, max {} iters",
-                self.spec.rows,
-                self.spec.cols,
-                self.options.tolerance,
-                self.options.damping,
-                self.options.max_iterations
-            ),
+        let run_span = obs_trace::span("coupled.run");
+        let outcome = self.iterate();
+        run_span.close(
+            Level::Info,
+            &[
+                ("converged", FieldValue::Bool(self.converged)),
+                ("tolerance_k", FieldValue::F64(self.options.tolerance)),
+                ("damping", FieldValue::F64(self.options.damping)),
+            ],
         );
+        outcome
+    }
+
+    /// The Picard loop of [`CoupledEngine::run`]. Each failure is one
+    /// event below `warn`, since the caller reports the returned error.
+    fn iterate(&mut self) -> Result<(), CoupledError> {
+        let tolerance = self.options.tolerance;
         while !self.converged {
-            if self.deltas.len() >= self.options.max_iterations {
-                let last_delta = self.deltas.last().copied().unwrap_or(f64::INFINITY);
-                recorder::record(
+            let iterations = self.records.len();
+            if iterations >= self.options.max_iterations {
+                let last_delta = self.records.last().map_or(f64::INFINITY, |r| r.max_delta_t);
+                obs_trace::event(
+                    Level::Info,
                     "coupled.not_converged",
-                    format_args!(
-                        "iteration cap {} hit with delta {last_delta:.4e} K (tol {:.2e} K)",
-                        self.options.max_iterations, self.options.tolerance
-                    ),
+                    "iteration cap hit",
+                    &[
+                        ("iterations", FieldValue::from(iterations)),
+                        ("last_delta_k", FieldValue::F64(last_delta)),
+                        ("tolerance_k", FieldValue::F64(tolerance)),
+                    ],
                 );
                 return Err(CoupledError::NotConverged {
-                    iterations: self.deltas.len(),
+                    iterations,
                     last_delta,
-                    history: self.deltas.clone(),
+                    history: self.deltas(),
                     hottest: self.hotspots_by(|_, &t| t),
                 });
             }
             let delta = self.step()?;
-            let n = self.deltas.len();
-            let growing = n >= 3
-                && self.deltas[n - 1] > self.deltas[n - 2]
-                && self.deltas[n - 2] > self.deltas[n - 3];
-            if !delta.is_finite() || (growing && delta > 100.0 * self.options.tolerance) {
-                recorder::record(
+            let growing = matches!(self.records.as_slice(), [.., a, b, c]
+                if c.max_delta_t > b.max_delta_t && b.max_delta_t > a.max_delta_t);
+            if !delta.is_finite() || (growing && delta > 100.0 * tolerance) {
+                obs_trace::event(
+                    Level::Info,
                     "coupled.diverged",
-                    format_args!("delta {delta:.4e} K growing at iteration {n}"),
+                    "update growing",
+                    &[
+                        ("iteration", FieldValue::from(iterations + 1)),
+                        ("delta_k", FieldValue::F64(delta)),
+                    ],
                 );
                 return Err(CoupledError::Diverged {
-                    iterations: n,
+                    iterations: iterations + 1,
                     delta,
                     offending: self.hotspots_by(|_, &t| t),
                 });
             }
         }
-        // Converged: audit current conservation on the settled grid.
-        let kcl = self.solver.kcl_audit();
-        recorder::record(
-            "coupled.converged",
-            format_args!(
-                "{} iterations, last delta {:.4e} K, KCL imbalance {kcl:.3e}",
-                self.deltas.len(),
-                self.deltas.last().copied().unwrap_or(0.0)
-            ),
-        );
+        // Settled: a state pinned at the resistivity fit's limit is
+        // runaway, not convergence.
         let (_, hi) = self.spec.metal.resistivity_validity_range();
-        let beyond: Vec<usize> = (0..self.branches.len())
+        let mut offending: Vec<BranchHotspot> = (0..self.branches.len())
             .filter(|&k| self.branch_t[k] >= hi.value())
+            .map(|k| BranchHotspot {
+                from: self.branches[k].0,
+                to: self.branches[k].1,
+                temperature: Kelvin::new(self.branch_t[k]),
+            })
             .collect();
-        if !beyond.is_empty() {
-            let mut offending: Vec<BranchHotspot> = beyond
-                .iter()
-                .map(|&k| BranchHotspot {
-                    from: self.branches[k].0,
-                    to: self.branches[k].1,
-                    temperature: Kelvin::new(self.branch_t[k]),
-                })
-                .collect();
-            offending.sort_by(|a, b| b.temperature.value().total_cmp(&a.temperature.value()));
+        offending.sort_by(|a, b| b.temperature.value().total_cmp(&a.temperature.value()));
+        if let Some(hottest) = offending.first() {
+            self.converged = false;
+            let ((r0, c0), (r1, c1)) = (hottest.from, hottest.to);
+            obs_trace::event(
+                Level::Info,
+                "coupled.beyond_range",
+                "settled beyond the resistivity fit",
+                &[
+                    ("limit_k", FieldValue::F64(hi.value())),
+                    (
+                        "hottest",
+                        FieldValue::Str(&format!("({r0},{c0})->({r1},{c1})")),
+                    ),
+                    ("hottest_k", FieldValue::F64(hottest.temperature.value())),
+                ],
+            );
             offending.truncate(ERROR_REPORT_BRANCHES);
             return Err(CoupledError::BeyondResistivityRange {
                 limit: hi,
                 offending,
             });
-        }
-        if obs_trace::enabled(obs_trace::Level::Info) {
-            obs_trace::info(
-                "coupled",
-                "converged",
-                &[
-                    ("iterations", FieldValue::U64(self.deltas.len() as u64)),
-                    (
-                        "last_delta_k",
-                        FieldValue::F64(self.deltas.last().copied().unwrap_or(0.0)),
-                    ),
-                ],
-            );
         }
         Ok(())
     }
@@ -656,12 +659,17 @@ impl CoupledEngine {
     /// Iterations performed so far.
     #[must_use]
     pub fn iterations(&self) -> usize {
-        self.deltas.len()
+        self.records.len()
+    }
+
+    /// The max |ΔT| update of every iteration so far (K), in order.
+    fn deltas(&self) -> Vec<f64> {
+        self.records.iter().map(|r| r.max_delta_t).collect()
     }
 
     /// The convergence trace accumulated so far — available even when
-    /// [`CoupledEngine::run`] fails, so a `--trace-out` post-mortem can
-    /// see the residual history that led to the error.
+    /// [`CoupledEngine::run`] fails, so a post-mortem can see the
+    /// residual history that led to the error.
     #[must_use]
     pub fn trace(&self) -> ConvergenceTrace {
         ConvergenceTrace {
@@ -692,9 +700,9 @@ impl CoupledEngine {
             None
         };
         HealthReport {
-            picard: health::picard_rate(&self.deltas, self.options.tolerance),
-            iterations: self.deltas.len() as u64,
-            last_delta: self.deltas.last().copied().unwrap_or(0.0),
+            picard: health::picard_rate(&self.deltas(), self.options.tolerance),
+            iterations: self.records.len() as u64,
+            last_delta: self.records.last().map_or(0.0, |r| r.max_delta_t),
             tolerance: self.options.tolerance,
             condition_estimate: self.solver.condition_number(),
             residual_rel: self.solver.last_residual_rel(),
@@ -781,7 +789,6 @@ impl CoupledEngine {
     /// aging loop calls this between epochs so each re-solve gets the
     /// full iteration budget and converges fast from the warm start.
     pub fn reset_convergence(&mut self) {
-        self.deltas.clear();
         self.records.clear();
         self.converged = false;
     }
@@ -938,8 +945,7 @@ impl CoupledEngine {
             .iter()
             .fold(f64::NEG_INFINITY, |m, &t| m.max(t));
         Ok(CoupledReport {
-            iterations: self.deltas.len(),
-            iteration_deltas: self.deltas.clone(),
+            iterations: self.records.len(),
             trace: self.trace(),
             worst_ir_drop: Voltage::new(worst_drop),
             worst_node,

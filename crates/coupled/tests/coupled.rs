@@ -167,7 +167,7 @@ fn dense_grid_converges_with_violations() {
         .fold(f64::INFINITY, |m, t| m.min(t.value()));
     assert!(ttf.value() <= weakest);
     // Monotone convergence trace: the last delta is under tolerance.
-    assert!(report.iteration_deltas.last().unwrap() <= &0.05);
+    assert!(report.trace.records.last().unwrap().max_delta_t <= 0.05);
 }
 
 /// Pushing the grid hard enough that the settled state pins at the

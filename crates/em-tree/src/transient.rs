@@ -35,7 +35,8 @@
 //! when the void spans [`crate::model::KorhonenModel::critical_void_length`].
 
 use hotwire_circuit::solver::{MnaFactorization, MnaMatrix};
-use hotwire_obs::{metrics, recorder};
+use hotwire_obs::metrics;
+use hotwire_obs::trace::{self, FieldValue, Level};
 use hotwire_units::{CurrentDensity, Kelvin, Length, Pascals, Seconds};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -470,13 +471,15 @@ impl KorhonenSolver {
                 self.stress[at] = 0.0;
                 self.factored = None; // pattern changed: factor afresh
                 metrics::counter("em.stress.nucleations").inc();
-                recorder::record(
+                trace::event(
+                    Level::Debug,
                     "em.nucleation",
-                    format_args!(
-                        "tree {} voided at mesh node {at} (t = {:.3e} s)",
-                        self.tree.name(),
-                        self.time
-                    ),
+                    "void nucleated",
+                    &[
+                        ("tree", FieldValue::Str(self.tree.name())),
+                        ("mesh_node", FieldValue::from(at)),
+                        ("time_s", FieldValue::F64(self.time)),
+                    ],
                 );
             } else if let Some(mut v) = self.void.take() {
                 let outflow = self.void_outflow(&v);
@@ -492,14 +495,16 @@ impl KorhonenSolver {
                     };
                     *failure = Some(self.time - dt + frac * dt);
                     metrics::counter("em.stress.failures").inc();
-                    recorder::record(
+                    trace::event(
+                        Level::Debug,
                         "em.failure",
-                        format_args!(
-                            "tree {} open-circuited: void {cur_len:.3e} m ≥ critical \
-                             {len_crit:.3e} m (t = {:.3e} s)",
-                            self.tree.name(),
-                            self.time
-                        ),
+                        "void reached the critical length",
+                        &[
+                            ("tree", FieldValue::Str(self.tree.name())),
+                            ("void_m", FieldValue::F64(cur_len)),
+                            ("critical_m", FieldValue::F64(len_crit)),
+                            ("time_s", FieldValue::F64(self.time)),
+                        ],
                     );
                     return Ok(true);
                 }

@@ -15,30 +15,33 @@
 //!   a snapshot, for `hotwire serve` and anything else that scrapes.
 //! * [`trace`] — structured spans and events with a text or JSONL sink
 //!   on stderr, levelled like conventional loggers (`error` … `trace`).
-//!   Span entry/exit feeds the metrics timers, so `--metrics-out` and
-//!   `--log-format json` describe the same execution. [`trace::context`]
-//!   / [`TraceContext::adopt`] carry the logical span across rayon
-//!   thread boundaries.
+//!   [`trace::event`] and the span close are the crate's only event
+//!   producers: a span close feeds the metrics timer of its name, and
+//!   an explicit [`trace::Span::close`] with result fields and every
+//!   event also land in the flight recorder, so `--metrics-out`,
+//!   `--trace-out`, `--log-format json` and a bundle describe the same
+//!   execution. [`trace::context`] / [`TraceContext::adopt`] carry the
+//!   logical span across rayon thread boundaries.
 //! * [`spantree`] — parallelism-aware span-tree capture: while a
 //!   capture is active every span records begin/end events (ID, logical
 //!   parent, thread index) into per-thread buffers, drained into a
 //!   [`SpanTrace`] with JSONL and Chrome Trace Event (Perfetto)
 //!   exports plus self-time, folded-stack, and critical-path analysis
 //!   for the `hotwire trace` subcommand.
-//! * [`health`] — numerical-health math: Hager/Higham 1-norm
-//!   condition estimation against an existing factorization, the
-//!   Picard convergence-rate fit and early classification
-//!   (converging / stagnated / oscillating / diverging), the
-//!   [`HealthReport`] summary, and the `health.*` metric-name catalog.
-//! * [`recorder`] — the flight recorder: a fixed-memory ring of recent
-//!   structured events (stage transitions, residuals, health samples,
-//!   per-request lines) that is always on at bounded cost, frozen into
-//!   a diagnostic bundle ([`recorder::bundle`]) on error exits, panics,
-//!   or SIGUSR1 for offline analysis by `hotwire doctor`.
+//! * [`health`] — numerical-health math: the Picard convergence-rate
+//!   fit and early classification (converging / stagnated /
+//!   oscillating / diverging), the [`HealthReport`] summary (which
+//!   carries the grid solver's exact condition number), and the
+//!   `health.*` metric-name catalog.
+//! * [`recorder`] — the flight recorder: a fixed-memory ring of the
+//!   most recent events and explicit span closes, always on at bounded
+//!   cost, frozen into a diagnostic bundle ([`recorder::bundle`]) on
+//!   error exits, panics, or SIGUSR1 for offline analysis by
+//!   `hotwire doctor`.
 //! * [`json`] — a small dependency-free JSON value type with a writer
 //!   and parser. The workspace's `serde` is an offline no-op shim
-//!   (see `shims/README.md`), so report files, snapshots, and the
-//!   convergence traces serialize through this module instead.
+//!   (see `shims/README.md`), so report files, snapshots, and span
+//!   captures serialize through this module instead.
 //!
 //! Everything that records is behind the default-on `telemetry`
 //! feature; compiled without it, the recording API collapses to empty

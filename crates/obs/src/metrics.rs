@@ -13,8 +13,9 @@
 //!   deterministic under parallelism by nature; use for descriptive,
 //!   not asserted, quantities.
 //! * **Timers** — wall-time accumulators (count / total / min / max)
-//!   fed by [`Timer::observe`] or a [`TimerGuard`]. Every observation
-//!   also lands in a lock-free log-linear histogram
+//!   fed by [`Timer::observe`], which every closing
+//!   [`crate::trace::span`] calls on the timer of its name. Every
+//!   observation also lands in a lock-free log-linear histogram
 //!   ([`crate::histogram`]), so snapshots carry p50/p90/p99 within a
 //!   documented relative-error bound. Counts are deterministic;
 //!   durations obviously are not.
@@ -217,39 +218,6 @@ impl Timer {
             self.cell.max_ns.fetch_max(ns, imp::RELAXED);
             self.cell.hist.record(ns);
         }
-    }
-
-    /// Starts a guard that records the elapsed wall time when dropped.
-    pub fn start(&self) -> TimerGuard {
-        TimerGuard {
-            #[cfg(feature = "telemetry")]
-            timer: self.clone(),
-            #[cfg(feature = "telemetry")]
-            start: std::time::Instant::now(),
-        }
-    }
-
-    /// Times one closure, recording its wall time.
-    pub fn time<T>(&self, f: impl FnOnce() -> T) -> T {
-        let _guard = self.start();
-        f()
-    }
-}
-
-/// RAII guard from [`Timer::start`]; records on drop.
-#[derive(Debug)]
-#[must_use = "a dropped TimerGuard records immediately; bind it with `let _guard = ...`"]
-pub struct TimerGuard {
-    #[cfg(feature = "telemetry")]
-    timer: Timer,
-    #[cfg(feature = "telemetry")]
-    start: std::time::Instant,
-}
-
-impl Drop for TimerGuard {
-    fn drop(&mut self) {
-        #[cfg(feature = "telemetry")]
-        self.timer.observe(self.start.elapsed());
     }
 }
 
@@ -641,7 +609,7 @@ mod tests {
         let t = timer("t.accum");
         t.observe(Duration::from_millis(2));
         t.observe(Duration::from_millis(6));
-        t.time(|| std::hint::black_box(3 + 4));
+        t.observe(Duration::from_micros(5));
         let stats = snapshot().timers["t.accum"];
         assert_eq!(stats.count, 3);
         assert!(stats.total_ms >= 8.0);

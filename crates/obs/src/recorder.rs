@@ -4,12 +4,14 @@
 //! The metrics registry says *how much* and *how long*; the trace sink
 //! says everything, but only if someone was capturing stderr. Neither
 //! survives a crash usefully. This module is the black box in between:
-//! every numeric layer drops terse, timestamped breadcrumbs — stage
-//! transitions, per-iteration residuals, health samples, per-request
-//! lines in `hotwire serve` — into a process-global ring of
-//! [`CAPACITY`] slots. Recording is always on and bounded: one atomic
-//! sequence claim plus one uncontended per-slot lock, overwriting the
-//! oldest event once the ring laps.
+//! every [`crate::trace::event`] and every explicit
+//! [`crate::trace::Span::close`] — per-iteration residuals, failure
+//! verdicts, health warnings, per-request lines in `hotwire serve` —
+//! lands as one timestamped entry in a process-global ring of
+//! [`CAPACITY`] slots, whatever the stderr level filter. Recording is
+//! always on and bounded: one atomic sequence claim plus one
+//! uncontended per-slot lock, overwriting the oldest event once the
+//! ring laps.
 //!
 //! On an error-path exit, a panic, or SIGUSR1, the binary freezes the
 //! ring together with a metrics snapshot and a numerical-health
@@ -42,10 +44,10 @@ pub struct FlightEvent {
     /// Milliseconds since the recorder's first event (process-relative
     /// monotonic time, *not* wall-clock).
     pub t_ms: f64,
-    /// Event family: `"stage"`, `"residual"`, `"health"`, `"request"`,
-    /// `"error"`, …
+    /// The event's target or the closed span's name
+    /// (`"coupled.iteration"`, `"request"`, …).
     pub kind: &'static str,
-    /// Human-readable detail line.
+    /// The message (`close` for a span) and its ` key=value` fields.
     pub detail: String,
 }
 
@@ -156,16 +158,10 @@ mod imp {
     }
 }
 
-/// Records one breadcrumb into the ring.
-///
-/// `kind` is a short static family name (`"stage"`, `"residual"`,
-/// `"health"`, `"request"`, `"error"`); the detail line is rendered
-/// from `args` only when telemetry is compiled in, so call sites pass
-/// `format_args!` and a `--no-default-features` build pays nothing:
-///
-/// ```
-/// hotwire_obs::recorder::record("stage", format_args!("doc example"));
-/// ```
+/// Records one entry into the ring: the write path behind
+/// [`crate::trace::event`] and [`crate::trace::Span::close`], which
+/// instrumented code calls instead. The detail line is rendered from
+/// `args` only when telemetry is compiled in.
 #[allow(unused_variables)]
 pub fn record(kind: &'static str, args: fmt::Arguments<'_>) {
     #[cfg(feature = "telemetry")]

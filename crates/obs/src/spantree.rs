@@ -54,9 +54,10 @@ pub struct SpanRecord {
     pub start_us: f64,
     /// Wall duration in microseconds.
     pub dur_us: f64,
-    /// Attributes attached via [`crate::trace::span_with`], e.g. the
-    /// Picard iteration index. Keys `id` and `parent` are reserved for
-    /// the Chrome `args` encoding.
+    /// Attributes attached via [`crate::trace::span_with`] (e.g. the
+    /// Picard iteration index), then the result fields of an explicit
+    /// [`crate::trace::Span::close`]. Keys `id` and `parent` are
+    /// reserved for the Chrome `args` encoding.
     pub args: Vec<(String, Json)>,
 }
 
@@ -614,6 +615,7 @@ pub(crate) mod cap {
         End {
             id: u64,
             at: Instant,
+            args: Vec<(String, Json)>,
         },
     }
 
@@ -700,12 +702,13 @@ pub(crate) mod cap {
         id
     }
 
-    /// Records the end event for a span begun during a capture. Called
-    /// unconditionally once a span holds an ID — if the capture was
-    /// drained in between, the orphan end is discarded by the next
-    /// assembly rather than lost mid-pair.
-    pub fn end(id: u64, at: Instant) {
-        with_local(|buf| lock(&buf.events).push(RawEvent::End { id, at }));
+    /// Records the end event for a span begun during a capture, with
+    /// the result args of an explicit close. Called unconditionally
+    /// once a span holds an ID — if the capture was drained in between,
+    /// the orphan end is discarded by the next assembly rather than
+    /// lost mid-pair.
+    pub fn end(id: u64, at: Instant, args: Vec<(String, Json)>) {
+        with_local(|buf| lock(&buf.events).push(RawEvent::End { id, at, args }));
     }
 
     /// Starts (or restarts) the capture: prunes buffers of exited
@@ -754,7 +757,7 @@ pub(crate) mod cap {
                 * 1e6
         };
         let mut open: BTreeMap<u64, SpanRecord> = BTreeMap::new();
-        let mut ends: Vec<(u64, Instant)> = Vec::new();
+        let mut ends = Vec::new();
         for (tid, e) in all {
             match e {
                 RawEvent::Begin {
@@ -777,15 +780,16 @@ pub(crate) mod cap {
                         },
                     );
                 }
-                RawEvent::End { id, at } => ends.push((id, at)),
+                RawEvent::End { id, at, args } => ends.push((id, at, args)),
             }
         }
         let mut spans = Vec::with_capacity(open.len());
-        for (id, at) in ends {
+        for (id, at, args) in ends {
             // Orphan ends (begin drained by a previous capture) have no
             // entry here and are dropped.
             if let Some(mut r) = open.remove(&id) {
                 r.dur_us = (us(at) - r.start_us).max(0.0);
+                r.args.extend(args);
                 spans.push(r);
             }
         }

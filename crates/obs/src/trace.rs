@@ -4,14 +4,20 @@
 //! The design follows the `tracing` crate's span/event split scaled to
 //! what this workspace needs, with no external dependency:
 //!
-//! * an **event** is one structured record — a level, a target (dotted
-//!   module-ish name), a message, and typed key/value fields;
+//! * an **event** ([`event`]) is one structured record — a level, a
+//!   target (dotted module-ish name), a message, and typed key/value
+//!   fields. Every event also lands in the flight recorder
+//!   ([`crate::recorder`]) with its target as the kind, whether or not
+//!   the level filter lets stderr print it;
 //! * a **span** is a named region of work ([`span`] returns a guard).
 //!   Every span records its wall time into the metrics timer of the
 //!   same name (so spans are visible in `--metrics-out` even when the
 //!   log sink is quiet), maintains a thread-local stack that stamps
-//!   events with their enclosing span path, and emits an exit event at
-//!   [`Level::Trace`].
+//!   events with their enclosing span path, and emits a close event at
+//!   [`Level::Trace`] when dropped. [`Span::close`] ends a span with a
+//!   level and result fields instead: they join the span's captured
+//!   args, its stderr close line, and the flight recorder, so one
+//!   close feeds every view.
 //!
 //! While a [`crate::spantree`] capture is active, every span
 //! additionally records a begin/end event pair with a process-unique
@@ -33,13 +39,13 @@
 //! let _inner = hotwire_obs::trace::span("doc.item");
 //! ```
 //!
-//! Nothing is written until [`init`] installs a [`LogConfig`]; the
-//! `hotwire` CLI does this from `--log-level` / `--log-format`. The
-//! JSONL format emits exactly one JSON object per line on stderr —
-//! machine-parseable with the schema in `docs/OBSERVABILITY.md`. With
-//! the `telemetry` feature off the whole module is inert: [`init`] is a
-//! no-op, no event can ever be emitted, and the span/context guards
-//! are zero-sized.
+//! Nothing is written to stderr until [`init`] installs a
+//! [`LogConfig`]; the `hotwire` CLI does this from `--log-level` /
+//! `--log-format`. The JSONL format emits exactly one JSON object per
+//! line on stderr — machine-parseable with the schema in
+//! `docs/OBSERVABILITY.md`. With the `telemetry` feature off the whole
+//! module is inert: [`init`] is a no-op, no event can ever be emitted,
+//! and the span/context guards are zero-sized.
 
 use std::fmt;
 use std::str::FromStr;
@@ -219,7 +225,9 @@ impl fmt::Display for FieldValue<'_> {
         match self {
             Self::U64(v) => write!(f, "{v}"),
             Self::I64(v) => write!(f, "{v}"),
-            Self::F64(v) => write!(f, "{v}"),
+            // Debug: the shortest round-tripping form, with an
+            // exponent for tiny or huge magnitudes.
+            Self::F64(v) => write!(f, "{v:?}"),
             Self::Str(v) => write!(f, "{v}"),
             Self::Bool(v) => write!(f, "{v}"),
         }
@@ -294,20 +302,9 @@ mod imp {
     }
 
     pub fn span_path() -> Option<String> {
-        SPAN_STACK.with(|stack| {
-            let stack = stack.borrow();
-            if stack.is_empty() {
-                None
-            } else {
-                Some(
-                    stack
-                        .iter()
-                        .map(|f| f.name)
-                        .collect::<Vec<&'static str>>()
-                        .join("/"),
-                )
-            }
-        })
+        let names: Vec<&str> =
+            SPAN_STACK.with(|stack| stack.borrow().iter().map(|f| f.name).collect());
+        (!names.is_empty()).then(|| names.join("/"))
     }
 
     pub fn emit(level: Level, target: &str, message: &str, fields: Fields<'_>) {
@@ -316,6 +313,19 @@ mod imp {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         let _ = writeln!(std::io::stderr(), "{line}");
+    }
+
+    /// Fields as ` key=value` pairs: the text sink's and the flight
+    /// recorder's rendering.
+    pub struct Pairs<'a>(pub Fields<'a>);
+
+    impl std::fmt::Display for Pairs<'_> {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            for (k, v) in self.0 {
+                write!(f, " {k}={v}")?;
+            }
+            Ok(())
+        }
     }
 
     pub fn render(level: Level, target: &str, message: &str, fields: Fields<'_>) -> String {
@@ -346,9 +356,7 @@ mod imp {
             if let Some(path) = span {
                 let _ = write!(line, " span={path}");
             }
-            for &(k, v) in fields {
-                let _ = write!(line, " {k}={v}");
-            }
+            let _ = write!(line, "{}", Pairs(fields));
             line
         }
     }
@@ -375,33 +383,18 @@ pub fn enabled(level: Level) -> bool {
     false
 }
 
-/// Emits one structured event.
+/// Emits one structured event: into the flight recorder always (kind
+/// `target`, detail the message and ` key=value` fields), and on stderr
+/// when `level` is enabled.
 #[allow(unused_variables)]
-pub fn event(level: Level, target: &str, message: &str, fields: Fields<'_>) {
+pub fn event(level: Level, target: &'static str, message: &str, fields: Fields<'_>) {
     #[cfg(feature = "telemetry")]
-    if imp::enabled(level) {
-        imp::emit(level, target, message, fields);
+    {
+        if imp::enabled(level) {
+            imp::emit(level, target, message, fields);
+        }
+        crate::recorder::record(target, format_args!("{message}{}", imp::Pairs(fields)));
     }
-}
-
-/// [`Level::Error`] event.
-pub fn error(target: &str, message: &str, fields: Fields<'_>) {
-    event(Level::Error, target, message, fields);
-}
-
-/// [`Level::Warn`] event.
-pub fn warn(target: &str, message: &str, fields: Fields<'_>) {
-    event(Level::Warn, target, message, fields);
-}
-
-/// [`Level::Info`] event.
-pub fn info(target: &str, message: &str, fields: Fields<'_>) {
-    event(Level::Info, target, message, fields);
-}
-
-/// [`Level::Debug`] event.
-pub fn debug(target: &str, message: &str, fields: Fields<'_>) {
-    event(Level::Debug, target, message, fields);
 }
 
 /// A named region of work; see [`span`].
@@ -428,23 +421,80 @@ impl Span {
         #[cfg(not(feature = "telemetry"))]
         None
     }
+
+    /// Closes the span with a level and result fields (an iteration's
+    /// residual, a run's verdict). The fields join the span's captured
+    /// args after its begin args, follow `elapsed_ms` on its stderr
+    /// close line when `level` is enabled, and land in the flight
+    /// recorder as one event (kind = span name, detail `close
+    /// elapsed_ms=… key=value …`). The metrics timer is fed as on drop;
+    /// a dropped span closes at [`Level::Trace`] with no fields and no
+    /// recorder event.
+    #[allow(unused_variables)]
+    pub fn close(self, level: Level, fields: Fields<'_>) {
+        #[cfg(feature = "telemetry")]
+        {
+            self.finish(Some((level, fields)));
+            // `finish` did everything `drop` would; the guard owns no heap.
+            std::mem::forget(self);
+        }
+    }
+
+    #[cfg(feature = "telemetry")]
+    fn finish(&self, closed: Option<(Level, Fields<'_>)>) {
+        let end_at = std::time::Instant::now();
+        let elapsed = end_at.saturating_duration_since(self.start);
+        let (level, fields) = closed.unwrap_or((Level::Trace, &[]));
+        if let Some(id) = self.id {
+            // Unconditional once the span holds an ID: if the capture
+            // was drained mid-span, this end is an orphan the next
+            // assembly discards — never a torn pair.
+            let args = fields
+                .iter()
+                .map(|&(key, value)| (key.to_owned(), value.to_json()))
+                .collect();
+            crate::spantree::cap::end(id, end_at, args);
+        }
+        crate::metrics::timer(self.name).observe(elapsed);
+        let elapsed_ms = elapsed.as_secs_f64() * 1e3;
+        if imp::enabled(level) {
+            let mut line = vec![("elapsed_ms", FieldValue::F64(elapsed_ms))];
+            line.extend_from_slice(fields);
+            imp::emit(level, self.name, "close", &line);
+        }
+        if closed.is_some() {
+            crate::recorder::record(
+                self.name,
+                format_args!("close elapsed_ms={elapsed_ms:?}{}", imp::Pairs(fields)),
+            );
+        }
+        imp::SPAN_STACK.with(|stack| {
+            let popped = stack.borrow_mut().pop();
+            debug_assert_eq!(
+                popped.map(|f| f.name),
+                Some(self.name),
+                "span stack out of order"
+            );
+        });
+    }
 }
 
 /// Opens a span named `name` (dotted, e.g. `"coupled.step"`).
 ///
-/// On drop the span records its wall time into the metrics timer of the
-/// same name, pops itself from the thread-local span stack, and emits a
-/// `close` event at [`Level::Trace`] with `elapsed_ms`. While a
-/// [`crate::spantree`] capture is active it also records a begin/end
-/// pair into the span tree, parented per [`context`].
+/// On drop (or [`Span::close`]) the span records its wall time into the
+/// metrics timer of the same name, pops itself from the thread-local
+/// span stack, and emits a `close` event with `elapsed_ms` (at
+/// [`Level::Trace`] on drop). While a [`crate::spantree`] capture is
+/// active it also records a begin/end pair into the span tree,
+/// parented per [`context`].
 pub fn span(name: &'static str) -> Span {
     span_with(name, &[])
 }
 
 /// Like [`span`], with attributes retained in the captured span tree
 /// (e.g. the Picard iteration index). The attributes do not reach the
-/// metrics timer or the stderr sink; outside a capture they are not
-/// even converted.
+/// metrics timer, the stderr sink or the flight recorder; outside a
+/// capture they are not even converted.
 #[allow(unused_variables)]
 pub fn span_with(name: &'static str, fields: Fields<'_>) -> Span {
     #[cfg(feature = "telemetry")]
@@ -476,33 +526,7 @@ pub fn span_with(name: &'static str, fields: Fields<'_>) -> Span {
 impl Drop for Span {
     fn drop(&mut self) {
         #[cfg(feature = "telemetry")]
-        {
-            let end_at = std::time::Instant::now();
-            let elapsed = end_at.saturating_duration_since(self.start);
-            if let Some(id) = self.id {
-                // Unconditional once the span holds an ID: if the
-                // capture was drained mid-span, this end is an orphan
-                // the next assembly discards — never a torn pair.
-                crate::spantree::cap::end(id, end_at);
-            }
-            crate::metrics::timer(self.name).observe(elapsed);
-            if imp::enabled(Level::Trace) {
-                imp::emit(
-                    Level::Trace,
-                    self.name,
-                    "close",
-                    &[("elapsed_ms", FieldValue::F64(elapsed.as_secs_f64() * 1e3))],
-                );
-            }
-            imp::SPAN_STACK.with(|stack| {
-                let popped = stack.borrow_mut().pop();
-                debug_assert_eq!(
-                    popped.map(|f| f.name),
-                    Some(self.name),
-                    "span stack out of order"
-                );
-            });
-        }
+        self.finish(None);
     }
 }
 
@@ -645,11 +669,104 @@ mod tests {
         crate::metrics::reset();
     }
 
+    /// One explicit close, four views: the timer of its name, the
+    /// capture's args (after the begin args), one flight-recorder
+    /// event, and one stderr line when its level is enabled — checked
+    /// in a child process, since the sink writes the real stderr.
+    #[cfg(feature = "telemetry")]
+    #[test]
+    fn a_closed_span_shows_up_once_in_each_view() {
+        const CHILD: &str = "HOTWIRE_OBS_CLOSE_CHILD";
+        let close = || {
+            span_with("t.closed", &[("iteration", FieldValue::U64(1))])
+                .close(Level::Debug, &[("residual", FieldValue::F64(0.25))]);
+            span("t.quiet").close(Level::Trace, &[]);
+        };
+        if std::env::var_os(CHILD).is_some() {
+            init(LogConfig {
+                level: Level::Debug,
+                format: LogFormat::Text,
+            });
+            close();
+            return;
+        }
+        let _guard = crate::metrics::testutil::lock();
+        crate::metrics::reset();
+        crate::recorder::clear();
+        crate::spantree::capture_start();
+        close();
+        let trace = crate::spantree::capture_take();
+
+        assert_eq!(crate::metrics::snapshot().timers["t.closed"].count, 1);
+        let captured: Vec<_> = trace
+            .spans
+            .iter()
+            .filter(|s| s.name == "t.closed")
+            .collect();
+        assert_eq!(captured.len(), 1);
+        assert_eq!(
+            captured[0].args,
+            vec![
+                ("iteration".to_owned(), Json::from(1_u64)),
+                ("residual".to_owned(), Json::Num(0.25)),
+            ]
+        );
+        let ring: Vec<_> = crate::recorder::snapshot_events()
+            .into_iter()
+            .filter(|e| e.kind == "t.closed")
+            .collect();
+        assert_eq!(ring.len(), 1, "{ring:?}");
+        assert!(ring[0].detail.starts_with("close elapsed_ms="), "{ring:?}");
+        assert!(ring[0].detail.ends_with(" residual=0.25"), "{ring:?}");
+        crate::metrics::reset();
+        crate::recorder::clear();
+
+        if cfg!(miri) {
+            return; // Miri cannot spawn the child process.
+        }
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args([
+                "--exact",
+                "trace::tests::a_closed_span_shows_up_once_in_each_view",
+                "--test-threads=1",
+            ])
+            .env(CHILD, "1")
+            .output()
+            .unwrap();
+        assert!(out.status.success());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let lines: Vec<&str> = stderr.lines().filter(|l| l.contains("t.")).collect();
+        assert_eq!(lines.len(), 1, "only the debug close prints: {stderr}");
+        assert!(
+            lines[0].starts_with("[debug] t.closed: close span=t.closed elapsed_ms="),
+            "{stderr}"
+        );
+        assert!(lines[0].ends_with(" residual=0.25"), "{stderr}");
+    }
+
+    #[cfg(feature = "telemetry")]
+    #[test]
+    fn events_land_in_the_recorder_whatever_the_level() {
+        let _guard = crate::metrics::testutil::lock();
+        crate::recorder::clear();
+        event(Level::Trace, "t.event", "happened", &[("n", 3usize.into())]);
+        let ring: Vec<_> = crate::recorder::snapshot_events()
+            .into_iter()
+            .filter(|e| e.kind == "t.event")
+            .collect();
+        assert_eq!(ring.len(), 1);
+        assert_eq!(ring[0].detail, "happened n=3");
+        crate::recorder::clear();
+    }
+
     #[cfg(not(feature = "telemetry"))]
     #[test]
     fn disabled_module_is_inert() {
         init(LogConfig::default());
         assert!(!enabled(Level::Error));
         let _span = span("t.noop");
+        span("t.noop").close(Level::Error, &[("n", 1usize.into())]);
+        event(Level::Error, "t.noop", "nothing", &[]);
+        assert!(crate::recorder::snapshot_events().is_empty());
     }
 }

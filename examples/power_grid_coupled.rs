@@ -46,9 +46,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "convergence trace (max |dT| per iteration): {}",
         report
-            .iteration_deltas
+            .trace
+            .records
             .iter()
-            .map(|d| format!("{d:.2}"))
+            .map(|r| format!("{:.2}", r.max_delta_t))
             .collect::<Vec<_>>()
             .join(" → ")
     );

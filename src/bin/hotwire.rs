@@ -19,16 +19,19 @@
 //! and `--log-format text|json` control diagnostic events on stderr,
 //! and `--metrics-out <path>` dumps the process-wide metrics snapshot
 //! as JSON after the command runs. `--trace-out <path>` captures the
-//! span tree of the run: `--trace-format jsonl` (retained span records,
-//! the default everywhere but `coupled-signoff`) or `chrome` (Trace
-//! Event JSON loadable in Perfetto / `chrome://tracing`). On
-//! `coupled-signoff` the historical default `--trace-format
-//! convergence` writes the per-iteration convergence trace instead.
-//! `hotwire trace <capture>` analyzes a captured span tree: self-time
-//! per span name, slowest-child critical paths, and folded stacks for
-//! flamegraph tools. The span capture is independent of `--log-level`;
-//! the level filter decides what is printed on stderr, never what the
-//! retained trace keeps.
+//! span tree of the run (every command but `serve`, whose capture
+//! would grow with every request): `--trace-format jsonl` (retained
+//! span records, the default) or `chrome` (Trace Event JSON loadable in
+//! Perfetto / `chrome://tracing`). On `coupled-signoff` the capture
+//! holds the convergence history: each `coupled.iteration` span's args
+//! carry its `max_delta_t_k`, `peak_temperature_k` and
+//! `worst_ir_drop_v`, and `coupled.run` closes with `converged`,
+//! `tolerance_k` and `damping`. `hotwire trace <capture>` analyzes a
+//! captured span tree: self-time per span name, slowest-child critical
+//! paths (with each root span's args), and folded stacks for flamegraph
+//! tools. The span capture is independent of `--log-level`; the level
+//! filter decides what is printed on stderr, never what the retained
+//! trace keeps.
 //!
 //! Exit codes: 0 success, 1 internal/solver failure, 2 usage error,
 //! 3 signoff violation.
@@ -357,41 +360,6 @@ fn main() -> ExitCode {
     }
 }
 
-/// What `--trace-out` writes. `convergence` is the historical
-/// per-iteration residual trace of `coupled-signoff`; the span formats
-/// dump the captured span tree of the whole run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TraceFormat {
-    /// `coupled-signoff` per-iteration convergence records (JSON).
-    Convergence,
-    /// Retained span records, one JSON object per line.
-    Jsonl,
-    /// Chrome Trace Event JSON, loadable in Perfetto.
-    Chrome,
-}
-
-/// Resolves `--trace-format`, defaulting to the back-compatible
-/// convergence trace on `coupled-signoff` and span JSONL elsewhere.
-fn trace_format(opts: &Flags, command: &str) -> Result<TraceFormat, CliError> {
-    match opts.get("trace-format").map(String::as_str) {
-        None => Ok(if command == "coupled-signoff" {
-            TraceFormat::Convergence
-        } else {
-            TraceFormat::Jsonl
-        }),
-        Some("convergence") if command == "coupled-signoff" => Ok(TraceFormat::Convergence),
-        Some("convergence") => Err(CliError::usage(
-            "--trace-format convergence is only available on coupled-signoff \
-             (use jsonl or chrome for span traces)",
-        )),
-        Some("jsonl") => Ok(TraceFormat::Jsonl),
-        Some("chrome") => Ok(TraceFormat::Chrome),
-        Some(other) => Err(CliError::usage(format!(
-            "--trace-format: unknown format `{other}` (convergence|jsonl|chrome)"
-        ))),
-    }
-}
-
 fn run(args: &[String]) -> Result<(), CliError> {
     let Some(command) = args.first() else {
         print_help();
@@ -406,9 +374,25 @@ fn run(args: &[String]) -> Result<(), CliError> {
         return cmd_doctor(&args[1..]);
     }
     let opts = parse_flags(&args[1..])?;
-    let format = trace_format(&opts, command)?;
-    let capture_spans = opts.contains_key("trace-out") && format != TraceFormat::Convergence;
-    if capture_spans {
+    // `--trace-out` writes the span capture: JSONL, or Chrome Trace
+    // Event JSON for Perfetto.
+    let chrome = match opts.get("trace-format").map(String::as_str) {
+        None | Some("jsonl") => false,
+        Some("chrome") => true,
+        Some(other) => {
+            return Err(CliError::usage(format!(
+                "--trace-format: unknown format `{other}` (jsonl|chrome)"
+            )))
+        }
+    };
+    if opts.contains_key("trace-out") {
+        if command == "serve" {
+            return Err(CliError::usage(
+                "--trace-out is not available on serve: its capture would grow with every \
+                 request until shutdown; scrape GET /metrics, or send SIGUSR1 for a \
+                 diagnostic bundle (with --bundle-dir)",
+            ));
+        }
         hotwire::obs::spantree::capture_start();
     }
     let result = match command.as_str() {
@@ -418,7 +402,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
         "repeater" => cmd_repeater(&opts),
         "esd" => cmd_esd(&opts),
         "signoff" => cmd_signoff(&opts),
-        "coupled-signoff" => cmd_coupled_signoff(&opts, format),
+        "coupled-signoff" => cmd_coupled_signoff(&opts),
         "tree-signoff" => cmd_tree_signoff(&opts),
         "serve" => cmd_serve(&opts),
         "simulate" => cmd_simulate(&opts),
@@ -442,16 +426,15 @@ fn run(args: &[String]) -> Result<(), CliError> {
     // the profile matters, so only a usage error skips the write.
     let trace = match (&result, opts.get("trace-out")) {
         (Err(CliError::Usage(_)), _) | (_, None) => Ok(()),
-        (_, Some(path)) if capture_spans => {
+        (_, Some(path)) => {
             let captured = hotwire::obs::spantree::capture_take();
-            match format {
-                TraceFormat::Chrome => write_json_file(path, &captured.to_chrome()),
-                _ => std::fs::write(path, captured.to_jsonl())
-                    .map_err(|e| CliError::context(format!("cannot write {path}"), e)),
+            if chrome {
+                write_json_file(path, &captured.to_chrome())
+            } else {
+                std::fs::write(path, captured.to_jsonl())
+                    .map_err(|e| CliError::context(format!("cannot write {path}"), e))
             }
         }
-        // Convergence format: cmd_coupled_signoff wrote it already.
-        (_, Some(_)) => Ok(()),
     };
     let outcome = result.and(metrics).and(trace);
     // Error-path exits (internal failure or signoff violation) freeze
@@ -511,8 +494,6 @@ fn print_help() {
                      [--metal cu|alcu] [--vdd <V>] [--sink-ma <I>] [--ref-c <T>]\n\
                      [--pads r:c,r:c,...] [--tol <K>] [--max-iters <n>]\n\
                      [--damping <a>] [--sigma <s>] [--quantile <f>]\n\
-                     (--trace-out defaults to the per-iteration convergence\n\
-                     trace here; pass --trace-format jsonl|chrome for spans)\n\
            tree-signoff\n\
                      Korhonen stress-evolution EM signoff of supply trees\n\
                      extracted from a SPICE-subset netlist (resistor trees\n\
@@ -542,9 +523,9 @@ fn print_help() {
            --log-format text|json                    event rendering (JSONL)\n\
            --metrics-out <path>                      metrics snapshot (JSON)\n\
            --trace-out <path>                        span tree of the run\n\
-           --trace-format jsonl|chrome|convergence   span records (default),\n\
-                     Perfetto-loadable Chrome Trace Event JSON, or (on\n\
-                     coupled-signoff only, its default) the convergence trace\n\
+                     (not on serve: scrape /metrics or SIGUSR1 a bundle)\n\
+           --trace-format jsonl|chrome               span records (default) or\n\
+                     Perfetto-loadable Chrome Trace Event JSON\n\
            --bundle-dir <dir>                        on error exit, panic, a\n\
                      serve 500, or SIGUSR1 (serve), freeze the flight\n\
                      recorder + metrics + health into a diagnostic bundle\n\
@@ -580,6 +561,17 @@ fn flag<'a>(opts: &'a Flags, key: &str) -> Result<&'a str, CliError> {
 
 fn flag_or<'a>(opts: &'a Flags, key: &str, default: &'a str) -> &'a str {
     opts.get(key).map_or(default, String::as_str)
+}
+
+/// A count flag (`--rows`, `--points`, …): anything but a non-negative
+/// integer — `2.9`, `1e10`, `-3` — is a usage error, never truncated.
+fn parse_count(opts: &Flags, key: &str, default: usize) -> Result<usize, CliError> {
+    match opts.get(key) {
+        None => Ok(default),
+        Some(v) => v
+            .parse::<usize>()
+            .map_err(|_| CliError::usage(format!("--{key}: `{v}` is not a non-negative integer"))),
+    }
 }
 
 fn parse_f64(opts: &Flags, key: &str, default: f64) -> Result<f64, CliError> {
@@ -668,8 +660,7 @@ fn cmd_solve(opts: &Flags) -> Result<(), CliError> {
 fn cmd_rules(opts: &Flags) -> Result<(), CliError> {
     let tech = load_tech(opts)?;
     let j0 = CurrentDensity::from_amps_per_cm2(parse_f64(opts, "j0", 6.0e5)?);
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    let levels = parse_f64(opts, "levels", 2.0)? as usize;
+    let levels = parse_count(opts, "levels", 2)?;
     let spec = DesignRuleSpec::paper_defaults(&tech, levels, j0);
     let table = DesignRuleTable::generate(&spec).map_err(CliError::internal)?;
     println!(
@@ -684,8 +675,7 @@ fn cmd_rules(opts: &Flags) -> Result<(), CliError> {
 fn cmd_sweep(opts: &Flags) -> Result<(), CliError> {
     let tech = load_tech(opts)?;
     let (problem, _) = build_problem(opts, &tech)?;
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    let points = parse_f64(opts, "points", 17.0)? as usize;
+    let points = parse_count(opts, "points", 17)?;
     let rs = log_spaced(1.0e-4, 1.0, points.max(2));
     let sweep = duty_cycle_sweep(&problem, &rs).map_err(CliError::internal)?;
     println!("r,metal_temperature_c,j_peak_ma_cm2,em_only_peak_ma_cm2");
@@ -909,12 +899,11 @@ fn coupled_error(e: CoupledError) -> CliError {
 /// per-command defaults for the grid size).
 fn coupled_setup(
     opts: &Flags,
-    default_edge: f64,
+    default_edge: usize,
 ) -> Result<(CoupledGridSpec, CoupledOptions), CliError> {
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     let (rows, cols) = (
-        parse_f64(opts, "rows", default_edge)? as usize,
-        parse_f64(opts, "cols", default_edge)? as usize,
+        parse_count(opts, "rows", default_edge)?,
+        parse_count(opts, "cols", default_edge)?,
     );
     let metal_name = flag_or(opts, "metal", "cu");
     let metal = Metal::builtin(metal_name)
@@ -935,10 +924,9 @@ fn coupled_setup(
     if let Some(pads) = opts.get("pads") {
         spec.pads = parse_pads(pads, rows, cols)?;
     }
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     let options = CoupledOptions {
         tolerance: parse_f64(opts, "tol", 0.05)?,
-        max_iterations: parse_f64(opts, "max-iters", 100.0)? as usize,
+        max_iterations: parse_count(opts, "max-iters", 100)?,
         damping: parse_f64(opts, "damping", 0.7)?,
         sigma: parse_f64(opts, "sigma", 0.5)?,
         failure_quantile: parse_f64(opts, "quantile", 1.0e-3)?,
@@ -947,8 +935,8 @@ fn coupled_setup(
     Ok((spec, options))
 }
 
-fn cmd_coupled_signoff(opts: &Flags, format: TraceFormat) -> Result<(), CliError> {
-    let (spec, options) = coupled_setup(opts, 50.0)?;
+fn cmd_coupled_signoff(opts: &Flags) -> Result<(), CliError> {
+    let (spec, options) = coupled_setup(opts, 50)?;
     let (rows, cols) = (spec.rows, spec.cols);
     let options_quantile = options.failure_quantile;
     let mut engine = CoupledEngine::new(spec, options).map_err(coupled_error)?;
@@ -962,20 +950,11 @@ fn cmd_coupled_signoff(opts: &Flags, format: TraceFormat) -> Result<(), CliError
         Err(_) => engine.health_report().to_json(),
     };
     bundle_state::set_health(health);
-    // The convergence trace is most valuable exactly when run() failed —
-    // write it before propagating, so a NotConverged/Diverged post-mortem
-    // still has the residual history on disk. (Span formats are written
-    // by `run()` after the command returns, covering the whole process.)
-    if format == TraceFormat::Convergence {
-        if let Some(path) = opts.get("trace-out") {
-            write_json_file(path, &engine.trace().to_json())?;
-        }
-    }
     let report = outcome.map_err(coupled_error)?;
     println!(
         "{rows}×{cols} grid: fixed point in {} iterations (last max |dT| = {:.3e} K)",
         report.iterations,
-        report.iteration_deltas.last().copied().unwrap_or(0.0)
+        report.trace.records.last().map_or(0.0, |r| r.max_delta_t)
     );
     println!(
         "  worst IR drop  = {:.1} mV at node ({}, {})",
@@ -1197,7 +1176,7 @@ fn cmd_serve(opts: &Flags) -> Result<(), CliError> {
     let threads = parse_threads(opts)?;
     // The per-request signoff grid defaults small (20×20) so a scrape
     // burst cannot wedge the server behind multi-second solves.
-    let (spec, options) = coupled_setup(opts, 20.0)?;
+    let (spec, options) = coupled_setup(opts, 20)?;
     let config = hotwire::serve::ServeConfig {
         threads,
         spec,
@@ -1500,7 +1479,7 @@ fn cmd_doctor(args: &[String]) -> Result<(), CliError> {
         if let Some(n) = h.picard.predicted_iterations {
             println!("  predicted:     ~{n} more iteration(s) to converge at the fitted rate");
         }
-        println!("  cond estimate: {}", opt(h.condition_estimate));
+        println!("  cond number:   {}", opt(h.condition_estimate));
         println!("  residual:      {}", opt(h.residual_rel));
         println!("  kcl imbalance: {}", opt(h.kcl_imbalance_rel));
         println!("  pivot growth:  {}", opt(h.pivot_growth));
@@ -1525,6 +1504,9 @@ fn cmd_doctor(args: &[String]) -> Result<(), CliError> {
         .and_then(Json::as_u64)
         .unwrap_or(0);
     let class = health.as_ref().map(|h| h.picard.class);
+    let beyond_range = events
+        .iter()
+        .any(|e| e.get("kind").and_then(Json::as_str) == Some("coupled.beyond_range"));
     let ill_conditioned = health.as_ref().is_some_and(|h| {
         h.condition_estimate.is_some_and(|k| k > 1e12)
             || h.pivot_growth.is_some_and(|g| g > 1e8)
@@ -1543,11 +1525,24 @@ fn cmd_doctor(args: &[String]) -> Result<(), CliError> {
                     .into(),
             ],
         )
+    } else if beyond_range {
+        (
+            "thermal-runaway",
+            vec![
+                "the loop settled with straps past the metal resistivity fit's \
+                 validity limit: Joule heating outruns the heat path to the substrate \
+                 (see the coupled.beyond_range event above)"
+                    .into(),
+                "lower --sink-ma to draw less current per intersection".into(),
+                "use wider or thicker straps (--width-um, --thickness-um)".into(),
+                "add pads (--pads) so the current has shorter paths to the supply".into(),
+            ],
+        )
     } else if ill_conditioned {
         (
             "ill-conditioned",
             vec![
-                "the electrical system is near-singular: the condition estimate, \
+                "the electrical system is near-singular: the condition number, \
                  pivot growth, or post-solve residual is far beyond healthy"
                     .into(),
                 "grid is near-singular: check for floating nodes (sinks with no \

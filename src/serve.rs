@@ -181,9 +181,11 @@ impl Server {
                         }
                         Err(_) => metrics::counter("serve.errors").inc(),
                     },
-                    None => recorder::record(
-                        "error",
-                        format_args!("SIGUSR1 received but no --bundle-dir configured"),
+                    None => trace::event(
+                        Level::Warn,
+                        "serve",
+                        "SIGUSR1 received but no --bundle-dir configured",
+                        &[],
                     ),
                 }
             }
@@ -360,12 +362,16 @@ pub fn route(request: &Request, config: &ServeConfig) -> Response {
         (_, "/metrics" | "/healthz" | "/signoff") => Response::text(405, "method not allowed\n"),
         _ => Response::text(404, "not found\n"),
     };
-    recorder::record(
+    trace::event(
+        Level::Debug,
         "request",
-        format_args!(
-            "{request_id} {} {} -> {}",
-            request.method, request.path, response.status
-        ),
+        "answered",
+        &[
+            ("request_id", FieldValue::Str(&request_id)),
+            ("method", FieldValue::Str(&request.method)),
+            ("path", FieldValue::Str(&request.path)),
+            ("status", FieldValue::U64(u64::from(response.status))),
+        ],
     );
     response.request_id = Some(request_id);
     response
@@ -409,9 +415,9 @@ fn signoff_response(body: &[u8], config: &ServeConfig, request_id: &str) -> Resp
         }
     }
     metrics::counter("serve.signoffs").inc();
-    let _timer = metrics::timer("serve.signoff").start();
+    let _span = trace::span("serve.signoff");
     // Keep the engine reachable on failure: its health report (Picard
-    // rate fit, condition estimate, residuals) goes into the bundle.
+    // rate fit, condition number, residuals) goes into the bundle.
     let result: Result<_, (CoupledError, Option<Json>)> =
         match CoupledEngine::new(spec, config.options.clone()) {
             Err(e) => Err((e, None)),
@@ -470,10 +476,6 @@ fn signoff_response(body: &[u8], config: &ServeConfig, request_id: &str) -> Resp
                     ("request_id", FieldValue::Str(request_id)),
                     ("error", FieldValue::Str(&message)),
                 ],
-            );
-            recorder::record(
-                "error",
-                format_args!("{request_id} signoff failed: {message}"),
             );
             // A failed request is exactly when the flight recorder pays
             // off: freeze it into a bundle and quote the path next to

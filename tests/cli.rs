@@ -408,7 +408,7 @@ fn metrics_and_trace_out_write_parsable_json() {
     let dir = std::env::temp_dir().join(format!("hotwire-obs-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let metrics_path = dir.join("metrics.json");
-    let trace_path = dir.join("trace.json");
+    let trace_path = dir.join("trace.jsonl");
     // 20×20 at the demo load needs >1 Picard iteration, so the second
     // electrical solve must hit the factorization-reuse path.
     let (ok, stdout, stderr) = hotwire(&[
@@ -456,18 +456,188 @@ fn metrics_and_trace_out_write_parsable_json() {
         }
     }
 
-    let trace = hotwire::obs::json::parse(&std::fs::read_to_string(&trace_path).unwrap())
-        .expect("trace file is valid JSON");
-    assert_eq!(trace.get("converged").and_then(|v| v.as_bool()), Some(true));
-    let records = trace.get("records").and_then(|v| v.as_array()).unwrap();
-    assert!(records.len() >= 2, "one record per Picard iteration");
-    let last = records.last().unwrap();
-    let residual = last.get("max_delta_t_k").and_then(|v| v.as_f64()).unwrap();
-    let tolerance = trace.get("tolerance_k").and_then(|v| v.as_f64()).unwrap();
+    // The JSONL span capture carries the convergence history: one
+    // `coupled.iteration` span per iteration with its residual, and a
+    // `coupled.run` span closed with the verdict.
+    let trace =
+        hotwire::obs::spantree::SpanTrace::parse(&std::fs::read_to_string(&trace_path).unwrap())
+            .expect("trace file is a JSONL span capture");
+    if trace.telemetry {
+        let arg = |s: &hotwire::obs::SpanRecord, key: &str| {
+            s.args
+                .iter()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| v.clone())
+        };
+        let iterations: Vec<_> = trace
+            .spans
+            .iter()
+            .filter(|s| s.name == "coupled.iteration")
+            .collect();
+        assert_eq!(
+            Some(iterations.len() as u64),
+            counter("coupled.iterations"),
+            "one span per iteration"
+        );
+        let run = trace
+            .spans
+            .iter()
+            .find(|s| s.name == "coupled.run")
+            .unwrap();
+        assert_eq!(arg(run, "converged").and_then(|v| v.as_bool()), Some(true));
+        let tolerance = arg(run, "tolerance_k").and_then(|v| v.as_f64()).unwrap();
+        let residual = arg(iterations.last().unwrap(), "max_delta_t_k")
+            .and_then(|v| v.as_f64())
+            .unwrap();
+        assert!(
+            residual <= tolerance,
+            "converged trace ends under tolerance"
+        );
+    } else {
+        assert!(trace.spans.is_empty(), "no spans without telemetry");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `hotwire trace` prints each critical-path root's args, so a
+/// `coupled-signoff` capture shows every iteration's residual.
+#[test]
+fn trace_critical_paths_show_each_iteration_residual() {
+    let dir = std::env::temp_dir().join(format!("hotwire-residual-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("capture.jsonl");
+    let (ok, stdout, stderr) = hotwire(&[
+        "coupled-signoff",
+        "--rows",
+        "20",
+        "--cols",
+        "20",
+        "--trace-out",
+        path.to_str().unwrap(),
+    ]);
+    assert!(ok, "stdout: {stdout}\nstderr: {stderr}");
+    let (ok, stdout, stderr) = hotwire(&["trace", path.to_str().unwrap()]);
+    if cfg!(feature = "telemetry") {
+        assert!(ok, "{stderr}");
+        let lines: Vec<&str> = stdout
+            .lines()
+            .skip_while(|l| !l.starts_with("critical path"))
+            .skip(1)
+            .take_while(|l| l.starts_with("  coupled.iteration "))
+            .collect();
+        assert!(lines.len() >= 2, "{stdout}");
+        for line in lines {
+            assert!(line.contains(" [max_delta_t_k="), "{line}");
+        }
+    } else {
+        assert!(!ok, "a no-telemetry capture is empty: {stdout}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A span capture on `serve` would grow with every request until
+/// shutdown, so `--trace-out` is a usage error there that names the
+/// bounded alternatives.
+#[test]
+fn serve_rejects_trace_out() {
+    let (code, stdout, stderr) = hotwire_status(&[
+        "serve",
+        "--addr",
+        "127.0.0.1:0",
+        "--trace-out",
+        "unused.jsonl",
+    ]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(!stdout.contains("listening"), "{stdout}");
+    assert!(stderr.contains("/metrics"), "{stderr}");
+    assert!(stderr.contains("SIGUSR1"), "{stderr}");
+}
+
+/// Count flags are integers: a fraction, an exponent or a grid whose
+/// node count overflows `u32` is a usage error, never a truncated or
+/// memory-exhausting run.
+#[test]
+fn count_flags_reject_non_integers_and_oversized_grids() {
+    for (rows, cols) in [("2.9", "3"), ("100000", "100000"), ("1e10", "1e10")] {
+        let (code, stdout, stderr) =
+            hotwire_status(&["coupled-signoff", "--rows", rows, "--cols", cols]);
+        assert_eq!(
+            code,
+            Some(2),
+            "--rows {rows} --cols {cols}: {stdout}{stderr}"
+        );
+        assert!(stdout.is_empty(), "{stdout}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+    for args in [
+        &["coupled-signoff", "--max-iters", "3.5"][..],
+        &["serve", "--rows", "2.5"],
+        &[
+            "sweep", "--tech", "ntrs-250", "--layer", "M6", "--points", "4.5",
+        ],
+        &["rules", "--tech", "ntrs-250", "--levels", "1e1"],
+    ] {
+        let (code, _, stderr) = hotwire_status(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("not a non-negative integer"), "{stderr}");
+    }
+}
+
+/// A grid driven until its straps melt settles at the resistivity
+/// fit's limit: the bundle records `coupled.beyond_range`, never a
+/// convergence, and `hotwire doctor` diagnoses thermal runaway.
+#[test]
+fn melted_grid_bundle_reads_thermal_runaway() {
+    let dir = std::env::temp_dir().join(format!("hotwire-melt-{}", std::process::id()));
+    let bundles = dir.join("b");
+    std::fs::create_dir_all(&dir).unwrap();
+    let (code, _, stderr) = hotwire_status(&[
+        "coupled-signoff",
+        "--rows",
+        "10",
+        "--cols",
+        "10",
+        "--sink-ma",
+        "80",
+        "--damping",
+        "1.0",
+        "--bundle-dir",
+        bundles.to_str().unwrap(),
+    ]);
+    assert_eq!(code, Some(1), "{stderr}");
     assert!(
-        residual <= tolerance,
-        "converged trace ends under tolerance"
+        stderr.contains("beyond the resistivity fit's validity limit"),
+        "{stderr}"
     );
+    let entries: Vec<_> = std::fs::read_dir(&bundles)
+        .expect("bundle dir was created")
+        .map(|e| e.unwrap().path())
+        .collect();
+    assert_eq!(entries.len(), 1, "{entries:?}");
+    let doc = hotwire::obs::json::parse(&std::fs::read_to_string(&entries[0]).unwrap()).unwrap();
+    let events = doc.get("events").and_then(|v| v.as_array()).unwrap();
+    let kinds: Vec<&str> = events
+        .iter()
+        .filter_map(|e| e.get("kind").and_then(|v| v.as_str()))
+        .collect();
+    let (ok, stdout, stderr) = hotwire(&["doctor", entries[0].to_str().unwrap()]);
+    assert!(ok, "{stderr}");
+    if cfg!(feature = "telemetry") {
+        assert!(kinds.contains(&"coupled.beyond_range"), "{kinds:?}");
+        let run = events
+            .iter()
+            .rev()
+            .find(|e| e.get("kind").and_then(|v| v.as_str()) == Some("coupled.run"))
+            .and_then(|e| e.get("detail").and_then(|v| v.as_str()))
+            .expect("coupled.run closes into the recorder");
+        assert!(run.contains("converged=false"), "{run}");
+        assert!(stdout.contains("diagnosis: thermal-runaway"), "{stdout}");
+        for hint in ["--sink-ma", "wider or thicker straps", "add pads"] {
+            assert!(stdout.contains(hint), "{hint}: {stdout}");
+        }
+    } else {
+        assert!(kinds.is_empty(), "{kinds:?}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -12,7 +12,7 @@ use hotwire::core::sweep::{duty_cycle_sweep, duty_cycle_sweep_serial, log_spaced
 use hotwire::core::SelfConsistentProblem;
 use hotwire::coupled::{CoupledEngine, CoupledGridSpec, CoupledOptions};
 use hotwire::obs::metrics::{self, MetricsSnapshot};
-use hotwire::obs::Json;
+use hotwire::obs::{recorder, spantree, FlightEvent, SpanRecord};
 use hotwire::tech::{Dielectric, Metal};
 use hotwire::thermal::impedance::{InsulatorStack, LineGeometry, QUASI_1D_PHI};
 use hotwire::units::{CurrentDensity, Length};
@@ -224,32 +224,99 @@ fn snapshot_round_trips_through_json() {
     }
 }
 
-/// The convergence trace rides on the report and matches the scalar
-/// fields the report already carried.
+/// Each Picard iteration is produced once: the close of its
+/// `coupled.iteration` span carries the same `IterationRecord` fields
+/// the report's trace holds into the span capture, the flight recorder
+/// and the timer of its name.
 #[test]
-fn report_trace_is_consistent_with_iteration_deltas() {
+fn iteration_views_agree_with_the_report_trace() {
     let _guard = registry_lock();
+    metrics::reset();
+    recorder::clear();
+    spantree::capture_start();
     let mut engine =
-        CoupledEngine::new(CoupledGridSpec::demo(10, 10), CoupledOptions::default()).unwrap();
+        CoupledEngine::new(CoupledGridSpec::demo(20, 20), CoupledOptions::default()).unwrap();
     engine.run().unwrap();
     let report = engine.assess().unwrap();
+    let capture = spantree::capture_take();
+    let records = &report.trace.records;
     assert!(report.trace.converged);
-    assert_eq!(report.trace.records.len(), report.iterations);
-    for (record, delta) in report.trace.records.iter().zip(&report.iteration_deltas) {
-        assert_eq!(record.max_delta_t, *delta);
+    assert_eq!(records.len(), report.iterations);
+    assert!(records.len() >= 2, "demo 20×20 iterates at least twice");
+    for record in records {
         // The iteration wall time covers both timed stages.
         assert!(
             record.total_ms >= record.electrical_ms + record.thermal_ms,
             "{record:?}"
         );
     }
-    let last = report.trace.records.last().unwrap();
+    let last = records.last().unwrap();
     assert_eq!(last.peak_temperature, report.peak_temperature.value());
-    let json = report.trace.to_json();
+    if !cfg!(feature = "telemetry") {
+        assert!(capture.spans.is_empty());
+        assert!(recorder::snapshot_events().is_empty());
+        return;
+    }
+
+    let spans: Vec<&SpanRecord> = capture
+        .spans
+        .iter()
+        .filter(|s| s.name == "coupled.iteration")
+        .collect();
+    let ring: Vec<FlightEvent> = recorder::snapshot_events()
+        .into_iter()
+        .filter(|e| e.kind == "coupled.iteration")
+        .collect();
     assert_eq!(
-        json.get("iterations").and_then(Json::as_u64),
-        Some(report.iterations as u64)
+        spans.len(),
+        records.len(),
+        "one captured span per iteration"
     );
+    assert_eq!(
+        ring.len(),
+        records.len(),
+        "one recorder event per iteration"
+    );
+    let arg = |s: &SpanRecord, key: &str| {
+        s.args
+            .iter()
+            .find(|(k, _)| k == key)
+            .and_then(|(_, v)| v.as_f64())
+    };
+    let field = |detail: &str, key: &str| {
+        detail
+            .split(' ')
+            .find_map(|pair| pair.strip_prefix(key)?.strip_prefix('='))
+            .and_then(|v| v.parse::<f64>().ok())
+    };
+    for ((record, span), event) in records.iter().zip(&spans).zip(&ring) {
+        #[allow(clippy::cast_precision_loss)]
+        let index = record.iteration as f64;
+        assert_eq!(arg(span, "iteration"), Some(index));
+        assert_eq!(arg(span, "max_delta_t_k"), Some(record.max_delta_t));
+        assert_eq!(
+            field(&event.detail, "max_delta_t_k"),
+            Some(record.max_delta_t),
+            "{event:?}"
+        );
+        assert_eq!(
+            arg(span, "peak_temperature_k"),
+            Some(record.peak_temperature)
+        );
+        assert_eq!(arg(span, "worst_ir_drop_v"), Some(record.worst_ir_drop));
+    }
+    assert_eq!(
+        metrics::snapshot().timers["coupled.iteration"].count,
+        records.len() as u64
+    );
+    let run = capture
+        .spans
+        .iter()
+        .find(|s| s.name == "coupled.run")
+        .expect("coupled.run captured");
+    let converged = run.args.iter().find(|(k, _)| k == "converged");
+    assert_eq!(converged.and_then(|(_, v)| v.as_bool()), Some(true));
+    recorder::clear();
 }
 
 /// Regression test for the `coupled.run` timer bug: the run-level RAII
@@ -310,13 +377,10 @@ fn residual_gauge_envelope_shows_the_decay() {
         return;
     }
     let residual = metrics::snapshot().gauges["coupled.residual"];
-    let last = report.iteration_deltas.last().copied().unwrap();
-    let biggest = report.iteration_deltas.iter().copied().fold(0.0, f64::max);
-    let smallest = report
-        .iteration_deltas
-        .iter()
-        .copied()
-        .fold(f64::INFINITY, f64::min);
+    let deltas: Vec<f64> = report.trace.records.iter().map(|r| r.max_delta_t).collect();
+    let last = deltas.last().copied().unwrap();
+    let biggest = deltas.iter().copied().fold(0.0, f64::max);
+    let smallest = deltas.iter().copied().fold(f64::INFINITY, f64::min);
     assert_eq!(residual.value, last, "last write wins");
     assert_eq!(residual.max, biggest, "the big early residual is retained");
     assert_eq!(residual.min, smallest);
