@@ -30,7 +30,7 @@ use hotwire_coupled::{CoupledEngine, CoupledGridSpec, CoupledOptions};
 use hotwire_em_tree::model::KorhonenModel;
 use hotwire_em_tree::steady::steady_state;
 use hotwire_em_tree::transient::{KorhonenSolver, TransientOptions};
-use hotwire_em_tree::tree::InterconnectTree;
+use hotwire_em_tree::tree::{InterconnectTree, TreeSegment};
 use hotwire_obs::spantree;
 use hotwire_thermal::chip::ChipThermalModel;
 use hotwire_thermal::impedance::{effective_width, InsulatorStack};
@@ -145,35 +145,93 @@ fn bench_chip_thermal(c: &mut Criterion) {
     group.finish();
 }
 
+/// A seeded supply tree shaped like the `tree-em` benchmark decks': each
+/// new node extends the previous one with probability 0.7 and otherwise
+/// branches off a random earlier node, segments are 5–15 µm long, and
+/// every leaf plus one inner node in ten draws a 150 µA tap, so each
+/// segment carries the taps below it (0.5 × 0.5 µm Cu at 110 °C).
+fn junction_tree(segments: usize) -> InterconnectTree {
+    // SplitMix64, seeded: the same tree on every machine.
+    let mut state = 0x5EED_u64;
+    let mut unit = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) as f64 / 2f64.powi(64)
+    };
+    let mut parent = vec![0usize; segments + 1];
+    let mut length = vec![0.0; segments + 1];
+    let mut leaf = vec![true; segments + 1];
+    for i in 1..=segments {
+        parent[i] = if unit() < 0.7 {
+            i - 1
+        } else {
+            (unit() * i as f64) as usize
+        };
+        leaf[parent[i]] = false;
+        length[i] = 5.0 + 10.0 * unit();
+    }
+    let mut amps = vec![0.0; segments + 1];
+    for i in 1..=segments {
+        if leaf[i] || unit() < 0.1 {
+            amps[i] = 150.0e-6;
+        }
+    }
+    for i in (1..=segments).rev() {
+        amps[parent[i]] += amps[i];
+    }
+    let area = 0.5e-6 * 0.5e-6;
+    let tree_segments = (1..=segments)
+        .map(|i| TreeSegment {
+            from: parent[i],
+            to: i,
+            length: Length::from_micrometers(length[i]),
+            width: Length::from_micrometers(0.5),
+            thickness: Length::from_micrometers(0.5),
+            current_density: CurrentDensity::new(amps[i] / area),
+            temperature: Kelvin::new(383.15),
+        })
+        .collect();
+    InterconnectTree::new("bench_junction", segments + 1, tree_segments).expect("valid bench tree")
+}
+
 /// The tree-EM stress stage on straight Cu lines of 100, 1 000 and
 /// 10 000 segments (10 µm each, 0.5 MA/cm² at 110 °C: mortal, so the
-/// filter runs its full recurrence and extrema scan). `steady_state` is
-/// the linear-time immortality filter, so its time divided by the
-/// segment count must stay flat across the sizes. `transient_32_steps`
-/// builds a fresh solver on the line's FV mesh (8 cells per segment)
-/// and advances one implicit window: one factorization, 32 backsolves.
+/// filter runs its full recurrence and extrema scan) and on one
+/// 400-segment [`junction_tree`]. `steady_state` is the linear-time
+/// immortality filter, so its time divided by the segment count must
+/// stay flat across the line sizes. `transient_32_steps` builds a fresh
+/// solver on the tree's FV mesh (8 cells per segment) and advances one
+/// implicit window: one leaves-to-root elimination, 32 steps.
 fn bench_em_tree_line(c: &mut Criterion) {
     let model = KorhonenModel::copper().expect("built-in copper model");
     let options = TransientOptions::for_horizon(Seconds::new(1.0e7));
     let mut group = c.benchmark_group("em_tree_line");
     group.sample_size(10);
-    for n in [100usize, 1_000, 10_000] {
-        let tree = InterconnectTree::straight_line(
-            "bench",
-            n,
-            Length::from_micrometers(10.0),
-            Length::from_micrometers(0.5),
-            Length::from_micrometers(0.5),
-            CurrentDensity::from_mega_amps_per_cm2(0.5),
-            Kelvin::new(383.15),
-        )
-        .expect("valid bench line");
-        group.bench_with_input(BenchmarkId::new("steady_state", n), &tree, |b, tree| {
+    let mut trees: Vec<(String, InterconnectTree)> = [100usize, 1_000, 10_000]
+        .into_iter()
+        .map(|n| {
+            let line = InterconnectTree::straight_line(
+                "bench",
+                n,
+                Length::from_micrometers(10.0),
+                Length::from_micrometers(0.5),
+                Length::from_micrometers(0.5),
+                CurrentDensity::from_mega_amps_per_cm2(0.5),
+                Kelvin::new(383.15),
+            );
+            (n.to_string(), line.expect("valid bench line"))
+        })
+        .collect();
+    trees.push(("junction_400".to_owned(), junction_tree(400)));
+    for (label, tree) in &trees {
+        group.bench_with_input(BenchmarkId::new("steady_state", label), tree, |b, tree| {
             b.iter(|| black_box(steady_state(tree, &model).unwrap().max_tensile));
         });
         group.bench_with_input(
-            BenchmarkId::new("transient_32_steps", n),
-            &tree,
+            BenchmarkId::new("transient_32_steps", label),
+            tree,
             |b, tree| {
                 b.iter(|| {
                     let mut solver = KorhonenSolver::new(tree, &model, options).unwrap();

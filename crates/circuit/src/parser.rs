@@ -249,12 +249,10 @@ impl ParsedCircuit {
         self.devices.get(&name.to_ascii_uppercase()).copied()
     }
 
-    /// All declared node names (lowercased), sorted.
-    #[must_use]
-    pub fn node_names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.nodes.keys().cloned().collect();
-        v.sort();
-        v
+    /// Every declared node name (lowercased) with its id, in no
+    /// particular order. Ground aliases are not listed.
+    pub fn nodes(&self) -> impl Iterator<Item = (&str, NodeId)> {
+        self.nodes.iter().map(|(name, &id)| (name.as_str(), id))
     }
 }
 
@@ -756,7 +754,15 @@ CL out 0 20f
     #[test]
     fn node_names_listing() {
         let p = parse_netlist("R1 alpha beta 1k\nR2 beta 0 1k\n").unwrap();
-        assert_eq!(p.node_names(), vec!["alpha".to_owned(), "beta".to_owned()]);
+        let mut names: Vec<(&str, usize)> = p.nodes().collect();
+        names.sort_unstable();
+        assert_eq!(
+            names,
+            [
+                ("alpha", p.node("ALPHA").unwrap()),
+                ("beta", p.node("beta").unwrap())
+            ]
+        );
         assert_eq!(p.node("0"), Some(Circuit::GROUND));
         assert_eq!(p.node("GND"), Some(Circuit::GROUND));
         assert_eq!(p.node("missing"), None);

@@ -26,8 +26,11 @@ pub enum TreeEmError {
         /// Description of the defect.
         message: String,
     },
-    /// The inner linear solve failed (singular FV system — should not
-    /// happen for a valid mesh; surfaced rather than swallowed).
+    /// A circuit-layer failure: the netlist did not parse, or the FV
+    /// elimination met a non-positive or non-finite pivot
+    /// ([`CircuitError::NotPositiveDefinite`] at that mesh node — it
+    /// cannot happen for a valid mesh, so it is surfaced rather than
+    /// swallowed).
     Circuit(CircuitError),
     /// A downstream per-segment EM model rejected its inputs.
     Em(EmError),

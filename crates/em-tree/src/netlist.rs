@@ -60,15 +60,15 @@ pub fn trees_from_netlist(
 ) -> Result<Vec<ExtractedTree>, TreeEmError> {
     // `node_count()` counts non-ground nodes; ids span 0..=node_count.
     let n = parsed.circuit.node_count() + 1;
-    let mut names: Vec<String> = (0..n).map(|i| format!("n{i}")).collect();
+    let mut names: Vec<Option<&str>> = vec![None; n];
     if Circuit::GROUND < n {
-        names[Circuit::GROUND] = "0".to_string();
+        names[Circuit::GROUND] = Some("0");
     }
-    for name in parsed.node_names() {
-        if let Some(id) = parsed.node(&name) {
-            names[id] = name;
-        }
+    for (name, id) in parsed.nodes() {
+        names[id] = Some(name);
     }
+    // A node the deck never named (one added in code) reads `n<id>`.
+    let name = |i: usize| names[i].map_or_else(|| format!("n{i}"), str::to_owned);
 
     // Resistor edges, injections, and supply attachments.
     let mut edges: Vec<(usize, usize, f64)> = Vec::new();
@@ -106,7 +106,7 @@ pub fn trees_from_netlist(
     for (e, &(a, b, _)) in edges.iter().enumerate() {
         if a == b {
             return Err(TreeEmError::UnsupportedNetlist {
-                message: format!("resistor {e} is a self-loop at node '{}'", names[a]),
+                message: format!("resistor {e} is a self-loop at node '{}'", name(a)),
             });
         }
         adj[a].push((e, b));
@@ -116,6 +116,8 @@ pub fn trees_from_netlist(
     let rho = options.metal.resistivity(options.temperature).value();
     let area = options.width.value() * options.thickness.value();
     let mut component = vec![usize::MAX; n];
+    // Tree-local ids. Components are disjoint, so one table serves all.
+    let mut local = vec![usize::MAX; n];
     let mut out = Vec::new();
     for start in 0..n {
         if component[start] != usize::MAX || adj[start].is_empty() {
@@ -142,7 +144,7 @@ pub fn trees_from_netlist(
                 message: format!(
                     "component at '{}' has {edge_count} resistors over {} nodes — resistor loops \
                      need a mesh solver, not the tree path",
-                    names[start],
+                    name(start),
                     nodes.len()
                 ),
             });
@@ -154,7 +156,7 @@ pub fn trees_from_netlist(
                 return Err(TreeEmError::UnsupportedNetlist {
                     message: format!(
                         "component at '{}' has no supply root (voltage source or ground)",
-                        names[start]
+                        name(start)
                     ),
                 })
             }
@@ -163,7 +165,7 @@ pub fn trees_from_netlist(
                     message: format!(
                         "component at '{}' has {} supply roots — branch currents are not \
                          determined by KCL alone",
-                        names[start],
+                        name(start),
                         many.len()
                     ),
                 })
@@ -172,16 +174,15 @@ pub fn trees_from_netlist(
 
         // DFS from the root: local ids in pre-order (root = 0), subtree
         // injection sums give every branch current in one pass.
-        let mut local = vec![usize::MAX; n];
         local[root] = 0;
-        let mut local_names = vec![names[root].clone()];
+        let mut local_names = vec![name(root)];
         let mut order = vec![(root, usize::MAX)]; // (node, incoming edge)
         let mut stack = vec![root];
         while let Some(u) = stack.pop() {
             for &(e, v) in &adj[u] {
                 if local[v] == usize::MAX {
                     local[v] = local_names.len();
-                    local_names.push(names[v].clone());
+                    local_names.push(name(v));
                     order.push((v, e));
                     stack.push(v);
                 }
@@ -224,7 +225,7 @@ pub fn trees_from_netlist(
                 temperature: options.temperature,
             });
         }
-        let tree = InterconnectTree::new(names[root].clone(), order.len(), segments)?;
+        let tree = InterconnectTree::new(name(root), order.len(), segments)?;
         metrics::counter("em.tree.extracted").inc();
         out.push(ExtractedTree {
             tree,
@@ -356,5 +357,39 @@ I2 b 0 DC 2e-3
 ";
         let trees = trees_from_netlist_text(text, &opts()).unwrap();
         assert_eq!(trees.len(), 2);
+    }
+
+    #[test]
+    fn three_components_keep_their_netlist_names() {
+        // Ground roots the first component; names come out lowercased,
+        // each tree's in DFS order from its root.
+        let text = "\
+V1 VDD1 0 DC 1.0
+R1 VDD1 A 10
+I1 A 0 DC 1e-3
+R2 0 B 10
+R3 B C 10
+I2 C B DC 1e-3
+V2 vdd2 0 DC 1.0
+R4 vdd2 d 10
+R5 d e 10
+I3 e 0 DC 2e-3
+";
+        let trees = trees_from_netlist_text(text, &opts()).unwrap();
+        let got: Vec<(&str, Vec<&str>)> = trees
+            .iter()
+            .map(|t| {
+                let names = t.node_names.iter().map(String::as_str).collect();
+                (t.tree.name(), names)
+            })
+            .collect();
+        assert_eq!(
+            got,
+            [
+                ("0", vec!["0", "b", "c"]),
+                ("vdd1", vec!["vdd1", "a"]),
+                ("vdd2", vec!["vdd2", "d", "e"]),
+            ]
+        );
     }
 }

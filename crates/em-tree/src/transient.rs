@@ -12,15 +12,17 @@
 //! (M/Δt + K) σᵏ⁺¹ = (M/Δt) σᵏ + S
 //! ```
 //!
-//! is SPD, so [`hotwire_circuit::solver::MnaMatrix`] routes it to the
-//! shared sparse LDLᵀ (or dense LU for small meshes); the factorization
-//! is reused across every step taken at the same Δt. A geometric
-//! block-doubling Δt schedule covers the ~10-decade span from the early
-//! `√t` stress build-up to ten-year horizons with a handful of
-//! refactorizations. Between blocks only the M/Δt diagonal changes, so
-//! the system is restamped and refactored numerically on the kept
-//! ordering and symbolic analysis; only void nucleation, which removes
-//! a node and so changes the sparsity pattern, factors afresh.
+//! is SPD, and its graph is the FV mesh, itself a tree. Rooted once at
+//! tree node 0, it eliminates from the leaves to the root with no fill:
+//! each node's pivot `d` is its diagonal less `w·l` over its children,
+//! and its multiplier `l = w/d` couples it to its parent through the
+//! flux conductance `w = κA/h` (`docs/THEORY.md` §11). The pivots are
+//! computed once per Δt and reused by every step taken at it; a step is
+//! one forward sweep from the leaves and one back sweep from the root,
+//! in O(n) with no allocation. A geometric block-doubling Δt schedule
+//! covers the ~10-decade span from the early `√t` stress build-up to
+//! ten-year horizons with a handful of eliminations: one per block, one
+//! per operating-point restamp and one per nucleation.
 //!
 //! Two-point flux is exact for piecewise-linear profiles, so the FV
 //! steady state matches the continuum steady state at the nodes to
@@ -34,7 +36,7 @@
 //! with the weakest-link chip rollup this feeds). The segment fails
 //! when the void spans [`crate::model::KorhonenModel::critical_void_length`].
 
-use hotwire_circuit::solver::{MnaFactorization, MnaMatrix};
+use hotwire_circuit::CircuitError;
 use hotwire_obs::metrics;
 use hotwire_obs::trace::{self, FieldValue, Level};
 use hotwire_units::{CurrentDensity, Kelvin, Length, Pascals, Seconds};
@@ -52,16 +54,16 @@ pub struct TransientOptions {
     pub resolution: usize,
     /// Total simulated horizon for [`KorhonenSolver::run_to_failure`].
     pub horizon: Seconds,
-    /// Number of Δt-doubling blocks in the schedule.
+    /// Number of Δt-doubling blocks in the schedule (at most 63).
     pub blocks: usize,
-    /// Steps per block (one factorization per block).
+    /// Steps per block (one elimination per block).
     pub steps_per_block: usize,
 }
 
 impl TransientOptions {
     /// Defaults for a given horizon: 8 volumes per segment, 12 blocks
     /// of 64 steps (Δt spans ~3.6 decades, 768 steps, 12
-    /// factorizations).
+    /// eliminations).
     #[must_use]
     pub fn for_horizon(horizon: Seconds) -> Self {
         Self {
@@ -76,6 +78,15 @@ impl TransientOptions {
         if self.resolution == 0 || self.blocks == 0 || self.steps_per_block == 0 {
             return Err(TreeEmError::InvalidParameter {
                 message: "transient options must have non-zero resolution/blocks/steps".into(),
+            });
+        }
+        // `block_dt` divides the horizon by 2^blocks − 1 in a u64.
+        if self.blocks > 63 {
+            return Err(TreeEmError::InvalidParameter {
+                message: format!(
+                    "transient options allow at most 63 blocks, got {}",
+                    self.blocks
+                ),
             });
         }
         if !(self.horizon.value() > 0.0) || !self.horizon.is_finite() {
@@ -116,11 +127,9 @@ struct MeshEdge {
     w: f64,
     /// κ·A·G — the wind source carried by this face pair.
     src: f64,
-    /// Owning tree segment.
-    seg: usize,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 struct VoidState {
     mesh_node: usize,
     seg: usize,
@@ -128,6 +137,8 @@ struct VoidState {
     tree_node: usize,
     /// Accrued void volume, m³.
     volume: f64,
+    /// The mesh edges incident to the void node, in ascending order.
+    edges: Vec<usize>,
 }
 
 /// Stateful transient Korhonen solver for one tree.
@@ -146,28 +157,34 @@ pub struct KorhonenSolver {
     edges: Vec<MeshEdge>,
     /// Sub-edge length per segment (h), m.
     seg_h: Vec<f64>,
+    /// The mesh rooted at tree node 0: each node's parent. The root is
+    /// its own parent, with zero coupling.
+    parent: Vec<usize>,
+    /// κA/h of the edge to the parent.
+    up_w: Vec<f64>,
+    /// Every mesh node after all of its children: the root comes last.
+    order: Vec<usize>,
+    /// Σ κA/h over each node's edges.
+    w_sum: Vec<f64>,
+    /// Net wind source of each node, Σ ±κA·G over its edges.
+    source: Vec<f64>,
+    /// M/Δt at the eliminated Δt.
+    mass: Vec<f64>,
+    /// Pivots `d` of `M/Δt + K` eliminated leaves first.
+    pivot: Vec<f64>,
+    /// Multipliers `l = w/d` to the parent (zero at the root, the void
+    /// node and its children).
+    mult: Vec<f64>,
+    /// A step's right-hand side, swept forward in place.
+    rhs: Vec<f64>,
     stress: Vec<f64>,
     time: f64,
     steps: usize,
     peak_tensile: f64,
     void: Option<VoidState>,
-    /// The factored FV system, kept across Δt blocks and restamps while
-    /// its sparsity pattern (the void node) stays the same.
-    factored: Option<Factored>,
-}
-
-/// A factorization of `M/Δt + K` and what it was built for.
-#[derive(Debug)]
-struct Factored {
-    /// Δt the numeric values were stamped for; `None` once an
-    /// operating-point restamp has made them stale.
-    dt: Option<f64>,
-    /// The void node eliminated as a σ = 0 Dirichlet site — it fixes the
-    /// sparsity pattern.
-    void_node: Option<usize>,
-    /// Mesh node → unknown index, −1 for the eliminated void node.
-    map: Vec<isize>,
-    factors: MnaFactorization,
+    /// The Δt the pivots hold `M/Δt + K` for; `None` once an
+    /// operating-point restamp or a nucleation has made them stale.
+    factored_dt: Option<f64>,
 }
 
 impl KorhonenSolver {
@@ -190,14 +207,10 @@ impl KorhonenSolver {
         let mut edges = Vec::with_capacity(segs.len() * sub);
         let mut seg_h = Vec::with_capacity(segs.len());
         let mut next_internal = n_tree;
-        for (si, s) in segs.iter().enumerate() {
+        for s in segs {
             let h = s.length.value() / sub as f64;
             seg_h.push(h);
             let area = s.area().value();
-            let kappa = model.kappa(s.temperature);
-            let wind = model.wind_term(s.current_density, s.temperature);
-            let w = kappa * area / h;
-            let src = kappa * area * wind;
             let mut prev = s.from;
             for k in 0..sub {
                 let next = if k + 1 == sub {
@@ -210,29 +223,95 @@ impl KorhonenSolver {
                 edges.push(MeshEdge {
                     a: prev,
                     b: next,
-                    w,
-                    src,
-                    seg: si,
+                    w: 0.0,
+                    src: 0.0,
                 });
                 volume[prev] += 0.5 * area * h;
                 volume[next] += 0.5 * area * h;
                 prev = next;
             }
         }
-        Ok(Self {
+        // Root the mesh at tree node 0. A breadth-first walk of the tree
+        // reaches each segment from its parent end, and the segment's
+        // `sub` edges (stored from `from` to `to`) chain down from there.
+        let adjacency = tree.adjacency();
+        let mut parent = vec![usize::MAX; n_mesh];
+        parent[0] = 0;
+        let mut order = vec![0];
+        let mut walk = vec![0];
+        let mut head = 0;
+        while let Some(&u) = walk.get(head) {
+            head += 1;
+            for &(si, v) in &adjacency[u] {
+                if parent[v] != usize::MAX {
+                    continue;
+                }
+                walk.push(v);
+                let chain = &edges[si * sub..(si + 1) * sub];
+                if segs[si].from == u {
+                    for e in chain {
+                        parent[e.b] = e.a;
+                        order.push(e.b);
+                    }
+                } else {
+                    for e in chain.iter().rev() {
+                        parent[e.a] = e.b;
+                        order.push(e.a);
+                    }
+                }
+            }
+        }
+        // Parents came first; eliminate children first.
+        order.reverse();
+        let mut solver = Self {
             tree: tree.clone(),
             model: model.clone(),
             options,
             volume,
             edges,
             seg_h,
+            parent,
+            up_w: vec![0.0; n_mesh],
+            order,
+            w_sum: vec![0.0; n_mesh],
+            source: vec![0.0; n_mesh],
+            mass: vec![0.0; n_mesh],
+            pivot: vec![0.0; n_mesh],
+            mult: vec![0.0; n_mesh],
+            rhs: vec![0.0; n_mesh],
             stress: vec![0.0; n_mesh],
             time: 0.0,
             steps: 0,
             peak_tensile: 0.0,
             void: None,
-            factored: None,
-        })
+            factored_dt: None,
+        };
+        solver.couple();
+        Ok(solver)
+    }
+
+    /// Stamps each edge's κA/h and wind source from its segment's
+    /// operating point, then each node's Σ κA/h, net source and
+    /// coupling to its parent.
+    fn couple(&mut self) {
+        self.w_sum.fill(0.0);
+        self.source.fill(0.0);
+        let sub = self.options.resolution;
+        for (si, s) in self.tree.segments().iter().enumerate() {
+            let area = s.area().value();
+            let kappa = self.model.kappa(s.temperature);
+            let wind = self.model.wind_term(s.current_density, s.temperature);
+            let (w, src) = (kappa * area / self.seg_h[si], kappa * area * wind);
+            for e in &mut self.edges[si * sub..(si + 1) * sub] {
+                (e.w, e.src) = (w, src);
+                self.w_sum[e.a] += w;
+                self.w_sum[e.b] += w;
+                self.source[e.a] += src;
+                self.source[e.b] -= src;
+                let child = if self.parent[e.b] == e.a { e.b } else { e.a };
+                self.up_w[child] = w;
+            }
+        }
     }
 
     /// The tree being integrated.
@@ -291,95 +370,78 @@ impl KorhonenSolver {
         points: &[(CurrentDensity, Kelvin)],
     ) -> Result<(), TreeEmError> {
         self.tree = self.tree.with_operating_points(points)?;
-        let segs = self.tree.segments();
-        for e in &mut self.edges {
-            let s = &segs[e.seg];
-            let h = self.seg_h[e.seg];
-            let area = s.area().value();
-            let kappa = self.model.kappa(s.temperature);
-            let wind = self.model.wind_term(s.current_density, s.temperature);
-            e.w = kappa * area / h;
-            e.src = kappa * area * wind;
-        }
-        // Same pattern, new values: the next step restamps and refactors.
-        if let Some(f) = &mut self.factored {
-            f.dt = None;
-        }
+        self.couple();
+        // New values: the next step eliminates afresh.
+        self.factored_dt = None;
         Ok(())
     }
 
-    /// Makes `factored` hold `M/Δt + K` for the current void state. While
-    /// the void node is unchanged only the values move (the M/Δt
-    /// diagonal, or restamped operating points), so the system is
-    /// restamped and numerically refactored on the kept ordering and
-    /// symbolic analysis. A new void node changes the pattern and gets a
-    /// fresh factorization.
+    /// Makes the pivots and multipliers hold `M/Δt + K` for the current
+    /// void state, eliminating leaves to root in O(n) with no fill. The
+    /// void node is a σ = 0 Dirichlet site: its row is the identity and
+    /// its edges add only to the live ends' diagonals.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TreeEmError::Circuit`] (not positive definite) on a
+    /// non-positive or non-finite pivot.
     fn ensure_factored(&mut self, dt: f64) -> Result<(), TreeEmError> {
+        if self.factored_dt == Some(dt) {
+            return Ok(());
+        }
+        self.factored_dt = None;
         let void_node = self.void.as_ref().map(|v| v.mesh_node);
-        match &mut self.factored {
-            Some(f) if f.void_node == void_node => {
-                if f.dt == Some(dt) {
-                    return Ok(());
-                }
-                let matrix = stamp_system(&self.volume, &self.edges, &f.map, dt);
-                f.factors.refactor(&matrix)?;
-                f.dt = Some(dt);
+        for (i, m) in self.mass.iter_mut().enumerate() {
+            *m = self.volume[i] / dt;
+            self.pivot[i] = *m + self.w_sum[i];
+        }
+        for &i in &self.order {
+            self.mult[i] = 0.0;
+            if Some(i) == void_node {
+                self.pivot[i] = 1.0;
+                continue;
             }
-            _ => {
-                // Map mesh nodes to unknowns, eliminating the Dirichlet
-                // void node (σ pinned to 0 there).
-                let mut map = vec![0isize; self.stress.len()];
-                let mut n_unknown = 0isize;
-                for (i, m) in map.iter_mut().enumerate() {
-                    if Some(i) == void_node {
-                        *m = -1;
-                    } else {
-                        *m = n_unknown;
-                        n_unknown += 1;
-                    }
-                }
-                let factors = stamp_system(&self.volume, &self.edges, &map, dt).factor()?;
-                self.factored = Some(Factored {
-                    dt: Some(dt),
-                    void_node,
-                    map,
-                    factors,
-                });
+            let d = self.pivot[i];
+            if !(d > 0.0) || !d.is_finite() {
+                return Err(CircuitError::NotPositiveDefinite { row: i }.into());
+            }
+            let p = self.parent[i];
+            if Some(p) != void_node {
+                self.mult[i] = self.up_w[i] / d;
+                self.pivot[p] -= self.mult[i] * self.up_w[i];
             }
         }
+        self.factored_dt = Some(dt);
         metrics::counter("em.stress.factorizations").inc();
         Ok(())
     }
 
-    /// One backward-Euler step at Δt; assumes `ensure_factored(dt)` ran.
-    fn step(&mut self, dt: f64) -> Result<(), TreeEmError> {
-        let Some(Factored { map, factors, .. }) = &self.factored else {
-            return Err(TreeEmError::InvalidParameter {
-                message: "internal: step() before factorization".into(),
-            });
-        };
-        let n_unknown = map.iter().filter(|&&m| m >= 0).count();
-        let mut rhs = vec![0.0; n_unknown];
-        for (i, &v) in self.volume.iter().enumerate() {
-            if map[i] >= 0 {
-                rhs[map[i] as usize] = v / dt * self.stress[i];
-            }
+    /// One backward-Euler step at Δt on the pivots `ensure_factored(dt)`
+    /// left: the right-hand side swept from the leaves to the root, then
+    /// back from the root straight into `stress`. Returns the peak
+    /// tensile stress and the lowest mesh node that holds it.
+    fn step(&mut self, dt: f64) -> (f64, usize) {
+        for (i, r) in self.rhs.iter_mut().enumerate() {
+            *r = self.mass[i] * self.stress[i] + self.source[i];
         }
-        for e in &self.edges {
-            if map[e.a] >= 0 {
-                rhs[map[e.a] as usize] += e.src;
-            }
-            if map[e.b] >= 0 {
-                rhs[map[e.b] as usize] -= e.src;
-            }
+        if let Some(v) = &self.void {
+            self.rhs[v.mesh_node] = 0.0;
         }
-        let x = factors.solve(&rhs);
-        for (i, s) in self.stress.iter_mut().enumerate() {
-            *s = if map[i] >= 0 { x[map[i] as usize] } else { 0.0 };
+        for &i in &self.order {
+            let p = self.parent[i];
+            self.rhs[p] += self.mult[i] * self.rhs[i];
+        }
+        let mut max = (f64::NEG_INFINITY, 0usize);
+        for &i in self.order.iter().rev() {
+            let s = self.rhs[i] / self.pivot[i] + self.mult[i] * self.stress[self.parent[i]];
+            self.stress[i] = s;
+            if s > max.0 || (s == max.0 && i < max.1) {
+                max = (s, i);
+            }
         }
         self.time += dt;
         self.steps += 1;
-        Ok(())
+        max
     }
 
     fn max_tensile(&self) -> (f64, usize) {
@@ -399,12 +461,13 @@ impl KorhonenSolver {
     fn void_outflow(&self, v: &VoidState) -> f64 {
         let modulus = self.model.effective_modulus().value();
         let mut out = 0.0;
-        for e in &self.edges {
+        for &k in &v.edges {
+            let e = &self.edges[k];
             // Atom-volume flux along +x (a→b): (κA/B)·(∂σ/∂x + G).
             let flux = (e.w * (self.stress[e.b] - self.stress[e.a]) + e.src) / modulus;
             if e.a == v.mesh_node {
                 out += flux;
-            } else if e.b == v.mesh_node {
+            } else {
                 out -= flux;
             }
         }
@@ -434,6 +497,24 @@ impl KorhonenSolver {
         (seg, node)
     }
 
+    /// Turns mesh node `at` into the σ = 0 void site. The system loses
+    /// that node, so the next step eliminates afresh.
+    fn nucleate(&mut self, at: usize) {
+        let (seg, tree_node) = self.nearest_tree_node(at);
+        let edges = (0..self.edges.len())
+            .filter(|&k| self.edges[k].a == at || self.edges[k].b == at)
+            .collect();
+        self.void = Some(VoidState {
+            mesh_node: at,
+            seg,
+            tree_node,
+            volume: 0.0,
+            edges,
+        });
+        self.stress[at] = 0.0;
+        self.factored_dt = None;
+    }
+
     /// Marches `steps` backward-Euler steps at fixed `dt`, watching for
     /// nucleation and failure. Returns `true` when failure occurred
     /// (integration should stop).
@@ -446,12 +527,11 @@ impl KorhonenSolver {
     ) -> Result<bool, TreeEmError> {
         let sigma_crit = self.model.critical_stress().value();
         let len_crit = self.model.critical_void_length().value();
+        let mut prev_max = self.max_tensile().0;
         for _ in 0..steps {
             self.ensure_factored(dt)?;
-            let prev_max = self.max_tensile().0;
             let prev_void_len = self.void_length().value();
-            self.step(dt)?;
-            let (cur_max, at) = self.max_tensile();
+            let (cur_max, at) = self.step(dt);
             self.peak_tensile = self.peak_tensile.max(cur_max);
             if self.void.is_none() && cur_max >= sigma_crit {
                 // Interpolate the crossing inside this step.
@@ -461,15 +541,7 @@ impl KorhonenSolver {
                     1.0
                 };
                 *nucleation = Some(self.time - dt + frac * dt);
-                let (seg, tree_node) = self.nearest_tree_node(at);
-                self.void = Some(VoidState {
-                    mesh_node: at,
-                    seg,
-                    tree_node,
-                    volume: 0.0,
-                });
-                self.stress[at] = 0.0;
-                self.factored = None; // pattern changed: factor afresh
+                self.nucleate(at);
                 metrics::counter("em.stress.nucleations").inc();
                 trace::event(
                     Level::Debug,
@@ -509,6 +581,8 @@ impl KorhonenSolver {
                     return Ok(true);
                 }
             }
+            // Only read before nucleation, when no void has zeroed a node.
+            prev_max = cur_max;
         }
         Ok(false)
     }
@@ -585,36 +659,6 @@ impl KorhonenSolver {
     }
 }
 
-/// Stamps `M/Δt + K` over the unknowns of `map` (−1 marks the σ = 0
-/// void node, eliminated).
-fn stamp_system(volume: &[f64], edges: &[MeshEdge], map: &[isize], dt: f64) -> MnaMatrix {
-    let n_unknown = map.iter().filter(|&&m| m >= 0).count();
-    let mut matrix = MnaMatrix::auto(n_unknown);
-    for (&v, &u) in volume.iter().zip(map) {
-        if u >= 0 {
-            matrix.add(u as usize, u as usize, v / dt);
-        }
-    }
-    for e in edges {
-        let (ua, ub) = (map[e.a], map[e.b]);
-        match (ua >= 0, ub >= 0) {
-            (true, true) => {
-                let (ua, ub) = (ua as usize, ub as usize);
-                matrix.add(ua, ua, e.w);
-                matrix.add(ub, ub, e.w);
-                matrix.add(ua, ub, -e.w);
-                matrix.add(ub, ua, -e.w);
-            }
-            // One end pinned to σ = 0: only the live end's
-            // diagonal survives (the coupling term carries a zero).
-            (true, false) => matrix.add(ua as usize, ua as usize, e.w),
-            (false, true) => matrix.add(ub as usize, ub as usize, e.w),
-            (false, false) => {}
-        }
-    }
-    matrix
-}
-
 /// Runs each tree's transient to failure, optionally in parallel.
 /// Order-preserving and byte-identical between the two paths (each
 /// solve is independent; results collect in input order).
@@ -641,6 +685,7 @@ pub fn batch_to_failure(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hotwire_circuit::linalg::Matrix;
     use hotwire_units::{CurrentDensity, Kelvin, Length};
 
     fn um(v: f64) -> Length {
@@ -738,8 +783,8 @@ mod tests {
 
     #[test]
     fn refactor_across_blocks_matches_fresh_factors_bitwise() {
-        // 24 segments × 8 volumes = 193 unknowns: above the sparse
-        // crossover, so every block after the first refactors the LDLᵀ.
+        // 24 segments × 8 volumes = 193 unknowns; every block after the
+        // first eliminates again on the kept mesh.
         let model = crate::model::KorhonenModel::copper().unwrap();
         let line = hot_line(4.0, 300.0, 24);
         let l_total = line.total_length().value();
@@ -749,17 +794,12 @@ mod tests {
         let mut reused = KorhonenSolver::new(&line, &model, opts).unwrap();
         let a = reused.run_to_failure().unwrap();
         assert!(a.nucleation_time.is_some(), "the test tree must be mortal");
-        let path = reused.factored.as_ref().map(|f| f.factors.path());
-        assert_eq!(
-            path,
-            Some(hotwire_circuit::solver::SolverPath::SparseCholesky)
-        );
 
         // The old behaviour: a fresh factorization at every block.
         let mut fresh = KorhonenSolver::new(&line, &model, opts).unwrap();
         let (mut nucleation, mut failure) = (None, None);
         for k in 0..opts.blocks {
-            fresh.factored = None;
+            fresh.factored_dt = None;
             let dt = fresh.block_dt(k);
             if fresh
                 .march(dt, opts.steps_per_block, &mut nucleation, &mut failure)
@@ -814,6 +854,236 @@ mod tests {
                 a.failure_time.map(|t| t.value().to_bits()),
                 b.failure_time.map(|t| t.value().to_bits())
             );
+        }
+    }
+
+    #[test]
+    fn more_than_63_blocks_are_rejected() {
+        // `block_dt` divides by 2^blocks − 1 in a u64: 64 blocks would
+        // overflow the shift.
+        let model = crate::model::KorhonenModel::copper().unwrap();
+        let line = hot_line(1.0, 100.0, 2);
+        let mut opts = TransientOptions::for_horizon(Seconds::new(1.0e6));
+        opts.blocks = 64;
+        assert!(matches!(
+            KorhonenSolver::new(&line, &model, opts),
+            Err(TreeEmError::InvalidParameter { .. })
+        ));
+        opts.blocks = 63;
+        let solver = KorhonenSolver::new(&line, &model, opts).unwrap();
+        let (first, last) = (solver.block_dt(0), solver.block_dt(62));
+        assert!(first > 0.0 && last.is_finite() && last > first);
+    }
+
+    #[test]
+    fn a_bad_pivot_is_a_typed_error() {
+        let model = crate::model::KorhonenModel::copper().unwrap();
+        let line = hot_line(1.0, 100.0, 3);
+        let mut solver = KorhonenSolver::new(
+            &line,
+            &model,
+            TransientOptions::for_horizon(Seconds::new(1.0e6)),
+        )
+        .unwrap();
+        for poison in [f64::NAN, f64::INFINITY, -1.0] {
+            solver.volume[5] = poison;
+            solver.factored_dt = None;
+            assert!(matches!(
+                solver.advance(Seconds::new(1.0e3), 4),
+                Err(TreeEmError::Circuit(
+                    hotwire_circuit::CircuitError::NotPositiveDefinite { .. }
+                ))
+            ));
+        }
+    }
+
+    #[test]
+    fn peak_ties_go_to_the_lowest_mesh_node() {
+        // No current and no stress: every node ties at zero.
+        let model = crate::model::KorhonenModel::copper().unwrap();
+        let line = hot_line(0.0, 100.0, 3);
+        let opts = TransientOptions::for_horizon(Seconds::new(1.0e6));
+        let mut solver = KorhonenSolver::new(&line, &model, opts).unwrap();
+        solver.ensure_factored(1.0e3).unwrap();
+        assert_eq!(solver.step(1.0e3), (0.0, 0));
+        assert_eq!(solver.max_tensile(), (0.0, 0));
+    }
+
+    /// Random cases of the dense oracle: `PROPTEST_CASES`, else 16.
+    fn cases() -> u32 {
+        std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(16)
+    }
+
+    /// Splitmix64: each oracle case derives its tree and state from one
+    /// seed.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next_u64(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next_u64() % n as u64) as usize
+        }
+
+        fn in_range(&mut self, lo: f64, hi: f64) -> f64 {
+            lo + (hi - lo) * ((self.next_u64() >> 11) as f64 / (1u64 << 53) as f64)
+        }
+    }
+
+    /// Node k + 1 hangs off a random earlier node: paths, stars and
+    /// everything between, with mixed widths, currents and temperatures.
+    fn junction_tree(count: usize, mix: &mut Mix) -> InterconnectTree {
+        let segments = (0..count)
+            .map(|k| crate::tree::TreeSegment {
+                from: mix.below(k + 1),
+                to: k + 1,
+                length: um(mix.in_range(2.0, 30.0)),
+                width: um(mix.in_range(0.2, 1.0)),
+                thickness: um(0.5),
+                current_density: CurrentDensity::from_mega_amps_per_cm2(mix.in_range(-5.0, 5.0)),
+                temperature: Kelvin::new(mix.in_range(50.0, 300.0) + 273.15),
+            })
+            .collect();
+        InterconnectTree::new("oracle", count + 1, segments).unwrap()
+    }
+
+    /// A mesh node of the asked kind — 1 a leaf, 2 a junction, 3 the
+    /// root, 4 a node inside a segment (or between two) — or `None`.
+    fn void_site(solver: &KorhonenSolver, kind: usize, mix: &mut Mix) -> Option<usize> {
+        let degree: Vec<usize> = solver.tree.adjacency().iter().map(Vec::len).collect();
+        let n_tree = degree.len();
+        let candidates: Vec<usize> = match kind {
+            1 => (0..n_tree).filter(|&i| degree[i] == 1).collect(),
+            2 => (0..n_tree).filter(|&i| degree[i] >= 3).collect(),
+            3 => vec![0],
+            4 if solver.stress.len() > n_tree => (n_tree..solver.stress.len()).collect(),
+            4 => (1..n_tree).filter(|&i| degree[i] == 2).collect(),
+            _ => Vec::new(),
+        };
+        (!candidates.is_empty()).then(|| candidates[mix.below(candidates.len())])
+    }
+
+    /// `M/Δt + K` assembled densely over every mesh node but the void,
+    /// straight from the mesh volumes and edges, and the unknown of each
+    /// mesh node.
+    fn dense_system(solver: &KorhonenSolver, dt: f64) -> (Matrix, Vec<Option<usize>>) {
+        let void = solver.void.as_ref().map(|v| v.mesh_node);
+        let mut unknown = Vec::with_capacity(solver.volume.len());
+        let mut n = 0;
+        for i in 0..solver.volume.len() {
+            let live = Some(i) != void;
+            unknown.push(live.then_some(n));
+            n += usize::from(live);
+        }
+        let mut a = Matrix::zeros(n, n);
+        for (i, &v) in solver.volume.iter().enumerate() {
+            if let Some(u) = unknown[i] {
+                a.add(u, u, v / dt);
+            }
+        }
+        for e in &solver.edges {
+            match (unknown[e.a], unknown[e.b]) {
+                (Some(ua), Some(ub)) => {
+                    a.add(ua, ua, e.w);
+                    a.add(ub, ub, e.w);
+                    a.add(ua, ub, -e.w);
+                    a.add(ub, ua, -e.w);
+                }
+                (Some(u), None) | (None, Some(u)) => a.add(u, u, e.w),
+                (None, None) => {}
+            }
+        }
+        (a, unknown)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(cases()))]
+
+        /// k steps of the leaves-to-root elimination match a dense LU of
+        /// the same system to a rounding bound scaled by its κ∞, with no
+        /// void and with the void at a leaf, a junction, the root and an
+        /// interior node; the peak the back sweep finds is a plain scan's.
+        #[test]
+        fn tree_elimination_matches_a_dense_lu(
+            segments in 2_usize..41,
+            resolution in 1_usize..9,
+            block in 0_usize..12,
+            horizon_exp in 4.0_f64..9.0,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let model = crate::model::KorhonenModel::copper().unwrap();
+            let mix = &mut Mix(seed);
+            let tree = junction_tree(segments, mix);
+            let opts = TransientOptions {
+                resolution,
+                ..TransientOptions::for_horizon(Seconds::new(10f64.powf(horizon_exp)))
+            };
+            let sigma_crit = model.critical_stress().value();
+            let start: Vec<f64> = (0..tree.node_count() + segments * (resolution - 1))
+                .map(|_| mix.in_range(-2.0, 2.0) * sigma_crit)
+                .collect();
+            for kind in 0..5 {
+                let mut solver = KorhonenSolver::new(&tree, &model, opts).unwrap();
+                let dt = solver.block_dt(block);
+                solver.stress.clone_from(&start);
+                if let Some(at) = void_site(&solver, kind, mix) {
+                    solver.nucleate(at);
+                }
+                let (a, unknown) = dense_system(&solver, dt);
+                let n = a.rows();
+                let mut lu = a.clone();
+                lu.factor().unwrap();
+                // A is an M-matrix, so A⁻¹ ≥ 0 and ‖A⁻¹‖∞ = max(A⁻¹·1).
+                let inv_norm = lu.solve_factored(&vec![1.0; n]).into_iter().fold(0.0, f64::max);
+                let a_norm = (0..n)
+                    .map(|i| (0..n).map(|j| a[(i, j)].abs()).sum::<f64>())
+                    .fold(0.0, f64::max);
+                let kappa = a_norm * inv_norm;
+                for _ in 0..3 {
+                    let mut b = vec![0.0; n];
+                    for (i, &v) in solver.volume.iter().enumerate() {
+                        if let Some(u) = unknown[i] {
+                            b[u] = v / dt * solver.stress[i];
+                        }
+                    }
+                    for e in &solver.edges {
+                        if let Some(u) = unknown[e.a] {
+                            b[u] += e.src;
+                        }
+                        if let Some(u) = unknown[e.b] {
+                            b[u] -= e.src;
+                        }
+                    }
+                    let x = lu.solve_factored(&b);
+                    let want: Vec<f64> = unknown.iter().map(|u| u.map_or(0.0, |u| x[u])).collect();
+                    solver.ensure_factored(dt).unwrap();
+                    let (max, at) = solver.step(dt);
+                    let scale = want.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
+                    let tol = 4.0 * (kappa + n as f64) * f64::EPSILON * scale;
+                    for (i, (&got, &w)) in solver.stress.iter().zip(&want).enumerate() {
+                        // The void node is pinned: exactly zero.
+                        let tol = if unknown[i].is_some() { tol } else { 0.0 };
+                        proptest::prop_assert!(
+                            (got - w).abs() <= tol,
+                            "void kind {kind}, node {i}: {got:e} vs dense {w:e} (κ∞ {kappa:e}, tol {tol:e})"
+                        );
+                    }
+                    let plain = solver.max_tensile();
+                    proptest::prop_assert_eq!((max.to_bits(), at), (plain.0.to_bits(), plain.1));
+                    let dense_max = want.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                    proptest::prop_assert!((max - dense_max).abs() <= tol, "peak {max:e} vs dense {dense_max:e}");
+                    proptest::prop_assert!(want[at] >= dense_max - 2.0 * tol);
+                }
+            }
         }
     }
 }

@@ -1218,7 +1218,11 @@ fn cmd_simulate(opts: &Flags) -> Result<(), CliError> {
     };
     let probes: Vec<String> = match opts.get("probe") {
         Some(list) => list.split(',').map(|s| s.trim().to_owned()).collect(),
-        None => parsed.node_names(),
+        None => {
+            let mut names: Vec<String> = parsed.nodes().map(|(name, _)| name.to_owned()).collect();
+            names.sort_unstable();
+            names
+        }
     };
     let mut probe_ids = Vec::new();
     for name in &probes {
