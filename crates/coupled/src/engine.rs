@@ -2,7 +2,7 @@
 //! temperature-dependent resistivity, then an EM rollup on the
 //! converged state.
 //!
-//! One iteration of the damped Picard loop:
+//! One iteration of the Anderson-accelerated Picard loop:
 //!
 //! 1. stamp every branch's conductance from its current temperature,
 //!    `g_b = A / (ρ(T_b)·ℓ)`, and DC-solve the grid — the first solve
@@ -12,15 +12,18 @@
 //!    them onto the end nodes, and solve the chip thermal map (a
 //!    matrix-free conjugate-gradient solve, warm-started from the last
 //!    iteration's field);
-//! 3. update every branch temperature toward the substrate-referenced
-//!    field with damping `α`, clamping the *resistivity lookup* into
-//!    the metal fit's validity window so an overshooting iterate can
-//!    never stamp a non-physical resistance.
+//! 3. step every branch temperature toward the substrate-referenced
+//!    field `G(T)`: the damped step `α·f`, `f = G − T`, corrected by
+//!    type-II Anderson mixing over the last three iterates (THEORY.md
+//!    §10), clamping the *resistivity lookup* into the metal fit's
+//!    validity window so an overshooting iterate can never stamp a
+//!    non-physical resistance.
 //!
-//! Convergence is declared when the max |ΔT| update falls under the
-//! tolerance; growth over consecutive iterations raises
-//! [`CoupledError::Diverged`] naming the offending branches, and a
-//! converged state still pinned at the validity limit raises
+//! The residual is the damped step size `α·max|f|`. Under the tolerance
+//! the engine takes that damped step and stops; a residual that grew
+//! restarts the mixing from it. Growth over consecutive iterations
+//! raises [`CoupledError::Diverged`] naming the offending branches, and
+//! a converged state still pinned at the validity limit raises
 //! [`CoupledError::BeyondResistivityRange`].
 
 use hotwire_circuit::grid_dc::DcGridSolver;
@@ -45,6 +48,10 @@ use crate::trace::{ConvergenceTrace, IterationRecord};
 
 /// How many offending branches an error report names.
 const ERROR_REPORT_BRANCHES: usize = 8;
+
+/// Depth `m` of the Anderson history: how many difference pairs of past
+/// iterates the temperature update extrapolates from.
+const MIXING_DEPTH: usize = 3;
 
 /// A strap between two grid intersections, `((row, col), (row, col))`.
 pub type GridBranch = ((usize, usize), (usize, usize));
@@ -124,8 +131,9 @@ pub struct CoupledOptions {
     pub tolerance: f64,
     /// Iteration cap before [`CoupledError::NotConverged`].
     pub max_iterations: usize,
-    /// Damping factor α ∈ (0, 1] of the Picard update
-    /// `T ← T + α·(T_new − T)`.
+    /// Relaxation α ∈ (0, 1] of the mixed update: with an empty
+    /// Anderson history it is the damped Picard step
+    /// `T ← T + α·(T_new − T)`, and the residual is that step's size.
     pub damping: f64,
     /// Initial branch-temperature guess; defaults to the substrate
     /// reference.
@@ -237,8 +245,66 @@ pub struct CoupledEngine {
     branch_r_mult: Vec<f64>,
     node_power: Vec<f64>,
     node_rise: Vec<f64>,
+    mixing: Mixing,
     records: Vec<IterationRecord>,
     converged: bool,
+}
+
+/// Type-II Anderson history over the branch temperatures, allocated once.
+#[derive(Debug, Clone)]
+struct Mixing {
+    /// Residual `f = G − T` and target `G` of the latest iterate, one per
+    /// branch.
+    f: Vec<f64>,
+    g: Vec<f64>,
+    /// [`MIXING_DEPTH`] columns of differences `ΔF`, `ΔG` between
+    /// consecutive iterates, each a block of one value per branch.
+    df: Vec<f64>,
+    dg: Vec<f64>,
+    /// Columns `0..len` are filled; `next` is overwritten next.
+    len: usize,
+    next: usize,
+}
+
+impl Mixing {
+    fn new(branches: usize) -> Self {
+        Self {
+            f: vec![0.0; branches],
+            g: vec![0.0; branches],
+            df: vec![0.0; MIXING_DEPTH * branches],
+            dg: vec![0.0; MIXING_DEPTH * branches],
+            len: 0,
+            next: 0,
+        }
+    }
+
+    /// Drops the difference columns, keeping the latest iterate.
+    fn restart(&mut self) {
+        self.len = 0;
+        self.next = 0;
+    }
+
+    /// The weights γ minimizing `‖f − ΔF·γ‖₂` over the filled columns,
+    /// from the normal equations by Cholesky. A rank-deficient history
+    /// gives non-finite weights.
+    fn weights(&self) -> [f64; MIXING_DEPTH] {
+        let n = self.f.len();
+        let column = |j: usize| &self.df[j * n..(j + 1) * n];
+        let dot = |a: &[f64], b: &[f64]| a.iter().zip(b).map(|(x, y)| x * y).sum::<f64>();
+        let (mut l, mut gamma) = ([[0.0; MIXING_DEPTH]; MIXING_DEPTH], [0.0; MIXING_DEPTH]);
+        for i in 0..self.len {
+            for j in 0..=i {
+                let s = dot(column(i), column(j)) - dot(&l[i][..j], &l[j][..j]);
+                l[i][j] = if i == j { s.sqrt() } else { s / l[j][j] };
+            }
+            gamma[i] = (dot(column(i), &self.f) - dot(&l[i][..i], &gamma[..i])) / l[i][i];
+        }
+        for i in (0..self.len).rev() {
+            let s: f64 = (i + 1..self.len).map(|j| l[j][i] * gamma[j]).sum();
+            gamma[i] = (gamma[i] - s) / l[i][i];
+        }
+        gamma
+    }
 }
 
 impl CoupledEngine {
@@ -404,12 +470,14 @@ impl CoupledEngine {
             branch_r_mult: vec![1.0; n_branches],
             node_power: vec![0.0; nodes],
             node_rise: Vec::new(),
+            mixing: Mixing::new(n_branches),
             records: Vec::new(),
             converged: false,
         })
     }
 
-    /// One damped Picard iteration; returns the max |ΔT| update (K).
+    /// One mixed Picard iteration; returns its residual, the damped step
+    /// size `α·max|G(T) − T|` (K).
     ///
     /// # Errors
     ///
@@ -463,21 +531,50 @@ impl CoupledEngine {
                 .solve_into(&self.node_power, &mut self.node_rise)?;
         }
         let thermal = thermal_start.elapsed();
-        // 3. Damped update toward the substrate-referenced field.
+        // 3. Mixed update toward the substrate-referenced field G(T).
         let update_span = obs_trace::span("coupled.update_time");
         let t_ref = self.spec.reference_temperature.value();
         let alpha = self.options.damping;
-        let mut delta = 0.0_f64;
-        let mut peak = f64::NEG_INFINITY;
+        let n = self.branches.len();
+        let mix = &mut self.mixing;
+        // `f` and `g` hold the previous iterate of this epoch, if any.
+        let primed = !self.records.is_empty();
+        let column = mix.next * n;
+        let mut residual = 0.0_f64;
         for (k, &((r0, c0), (r1, c1))) in self.branches.iter().enumerate() {
-            let rise = 0.5 * (self.node_rise[r0 * cols + c0] + self.node_rise[r1 * cols + c1]);
-            let target = t_ref + rise;
-            let change = alpha * (target - self.branch_t[k]);
-            self.branch_t[k] += change;
-            delta = delta.max(change.abs());
-            peak = peak.max(self.branch_t[k]);
+            let g = t_ref + 0.5 * (self.node_rise[r0 * cols + c0] + self.node_rise[r1 * cols + c1]);
+            let f = g - self.branch_t[k];
+            if primed {
+                mix.df[column + k] = f - mix.f[k];
+                mix.dg[column + k] = g - mix.g[k];
+            }
+            (mix.f[k], mix.g[k]) = (f, g);
+            residual = residual.max(f.abs());
         }
+        let delta = alpha * residual;
         self.converged = delta <= self.options.tolerance;
+        let grew = self.records.last().is_some_and(|r| delta > r.max_delta_t);
+        let mut gamma = [0.0; MIXING_DEPTH];
+        if primed && !grew && !self.converged {
+            mix.len = (mix.len + 1).min(MIXING_DEPTH);
+            mix.next = (mix.next + 1) % MIXING_DEPTH;
+            gamma = mix.weights();
+        }
+        // The converged step and a restart are the plain damped step.
+        if self.converged || grew || !gamma.iter().all(|g| g.is_finite()) {
+            if !self.converged {
+                metrics::counter("coupled.mixing_restarts").inc();
+            }
+            mix.restart();
+        }
+        let mut peak = f64::NEG_INFINITY;
+        for (k, t) in self.branch_t.iter_mut().enumerate() {
+            *t += alpha * mix.f[k];
+            for (j, &gj) in gamma.iter().enumerate().take(mix.len) {
+                *t -= gj * (mix.dg[j * n + k] - (1.0 - alpha) * mix.df[j * n + k]);
+            }
+            peak = peak.max(*t);
+        }
         let worst_drop = self.spec.vdd.value()
             - self
                 .solver
@@ -789,6 +886,7 @@ impl CoupledEngine {
     /// aging loop calls this between epochs so each re-solve gets the
     /// full iteration budget and converges fast from the warm start.
     pub fn reset_convergence(&mut self) {
+        self.mixing.restart();
         self.records.clear();
         self.converged = false;
     }

@@ -5,9 +5,9 @@
 //! branch currents, the currents Joule-heat the straps, the heat raises
 //! the metal resistivity, and the changed resistivities move the IR
 //! drop — a fixed point the paper's per-line eq. 13 solves analytically
-//! for a single wire and that [`CoupledEngine`] solves by damped Picard
-//! iteration for the whole grid, reusing the sparse MNA symbolic
-//! factorization across iterations.
+//! for a single wire and that [`CoupledEngine`] solves by
+//! Anderson-accelerated Picard iteration for the whole grid, reusing
+//! the sparse MNA symbolic factorization across iterations.
 //!
 //! On the converged state the engine runs a per-strap electromigration
 //! pass — Black's TTF at the *local* metal temperature, the Blech

@@ -1,4 +1,4 @@
-//! Per-run convergence history of the damped Picard loop.
+//! Per-run convergence history of the Anderson-accelerated Picard loop.
 //!
 //! Unlike the process-wide telemetry (`hotwire_obs`, compiled out
 //! without the `telemetry` feature), the convergence trace is a
@@ -26,7 +26,8 @@ use serde::{Deserialize, Serialize};
 pub struct IterationRecord {
     /// 1-based iteration number.
     pub iteration: usize,
-    /// The damped max |ΔT| update (K) — the loop's residual.
+    /// The loop's residual (K): the damped step size `α·max|G(T) − T|`,
+    /// whatever step the Anderson mixing then took.
     pub max_delta_t: f64,
     /// Hottest branch temperature after the update (K).
     pub peak_temperature: f64,
@@ -37,7 +38,7 @@ pub struct IterationRecord {
     /// Wall time of the chip thermal solve (ms).
     pub thermal_ms: f64,
     /// Wall time of the whole iteration (ms) — electrical + thermal +
-    /// the damped update. Strictly ≥ `electrical_ms + thermal_ms`, and
+    /// the mixed update. Strictly ≥ `electrical_ms + thermal_ms`, and
     /// the `coupled.run` registry timer is in turn ≥ the sum of these
     /// over a run, since its RAII span encloses the full Picard loop.
     pub total_ms: f64,
@@ -53,6 +54,6 @@ pub struct ConvergenceTrace {
     pub converged: bool,
     /// The convergence tolerance on max |ΔT| (K).
     pub tolerance: f64,
-    /// The damping factor α of the update.
+    /// The relaxation α of the mixed update.
     pub damping: f64,
 }

@@ -1,7 +1,11 @@
 //! Behavioural tests of the coupled fixed-point engine: the paper's
 //! single-wire limit (eq. 13), the light-load limit against a full-MNA
-//! transient step, initial-guess independence of the fixed point, typed
-//! failure modes, and parallel/serial determinism.
+//! transient step, initial-guess independence of the fixed point, the
+//! Anderson-mixed loop's iteration count and end state, typed failure
+//! modes, and parallel/serial determinism.
+//!
+//! `PROPTEST_CASES` sets the number of random cases of the mixing
+//! property (24 by default).
 
 use hotwire_circuit::power_grid::{PowerGrid, PowerGridSpec};
 use hotwire_circuit::solver::SolverPath;
@@ -13,9 +17,19 @@ use hotwire_coupled::{
 use hotwire_thermal::impedance::{InsulatorStack, LineGeometry};
 use hotwire_units::{Area, Current, Kelvin, Length, Resistance};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn um(v: f64) -> Length {
     Length::from_micrometers(v)
+}
+
+/// Random cases per mixing property: `PROPTEST_CASES`, else 24.
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(24)
 }
 
 /// A `1 × 2` chain is a single wire fed from one pad: the chip-level
@@ -168,6 +182,66 @@ fn dense_grid_converges_with_violations() {
     assert!(ttf.value() <= weakest);
     // Monotone convergence trace: the last delta is under tolerance.
     assert!(report.trace.records.last().unwrap().max_delta_t <= 0.05);
+}
+
+/// Anderson mixing pins the iteration count: the 100×100 demo grid
+/// (corner pads, 0.2 mA per intersection) settles in at most 8
+/// iterations, where the damped Picard update alone needed 23.
+#[test]
+fn mixing_converges_the_100x100_demo_in_at_most_8_iterations() {
+    let mut engine =
+        CoupledEngine::new(CoupledGridSpec::demo(100, 100), CoupledOptions::default()).unwrap();
+    engine.run().unwrap();
+    assert!(
+        engine.iterations() <= 8,
+        "{} iterations",
+        engine.iterations()
+    );
+}
+
+/// A new aging epoch lands on the fixed point of its own multipliers:
+/// new resistance multipliers, `reset_convergence` and `run` land within
+/// two tolerances of a fresh engine that had the multipliers from the
+/// start — whether the previous epoch converged or stopped mid-run with
+/// a primed mixing history.
+#[test]
+fn a_new_epoch_matches_a_fresh_engine_with_the_same_multipliers() {
+    let spec = CoupledGridSpec::demo(30, 30);
+    let options = CoupledOptions::default();
+    let mut fresh = CoupledEngine::new(spec.clone(), options.clone()).unwrap();
+    let multipliers: Vec<f64> = (0..fresh.branches().len())
+        .map(|k| 1.0 + 0.1 * (k % 11) as f64)
+        .collect();
+    fresh
+        .set_branch_resistance_multipliers(&multipliers)
+        .unwrap();
+    fresh.run().unwrap();
+    for previous_epoch_steps in [None, Some(2)] {
+        let mut aged = CoupledEngine::new(spec.clone(), options.clone()).unwrap();
+        match previous_epoch_steps {
+            None => aged.run().unwrap(),
+            Some(n) => {
+                for _ in 0..n {
+                    aged.step().unwrap();
+                }
+                assert!(!aged.converged());
+            }
+        }
+        aged.set_branch_resistance_multipliers(&multipliers)
+            .unwrap();
+        aged.reset_convergence();
+        aged.run().unwrap();
+        for (a, f) in aged
+            .branch_temperatures()
+            .iter()
+            .zip(fresh.branch_temperatures())
+        {
+            assert!(
+                (a - f).abs() <= 2.0 * options.tolerance,
+                "after {previous_epoch_steps:?}: aged {a} K vs fresh {f} K"
+            );
+        }
+    }
 }
 
 /// Pushing the grid hard enough that the settled state pins at the
@@ -333,5 +407,51 @@ proptest! {
                 "cold start {ta} K vs hot start {tb} K"
             );
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+    /// A mixed run ends at the fixed point, not merely at the end of a
+    /// short sequence: on random grids, pad sets and loads, the
+    /// default-tolerance branch temperatures lie within two tolerances
+    /// of a 1e-9 K run, and one more step after `run` is already under
+    /// tolerance.
+    #[test]
+    fn mixed_runs_end_at_the_fixed_point(
+        rows in 2_usize..=12,
+        cols in 2_usize..=12,
+        sink_ma in 0.05_f64..0.6,
+        pad_seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(pad_seed);
+        let mut pads: Vec<(usize, usize)> = (0..rng.gen_range(1..=4_usize))
+            .map(|_| (rng.gen_range(0..rows), rng.gen_range(0..cols)))
+            .collect();
+        pads.sort_unstable();
+        pads.dedup();
+        let spec = CoupledGridSpec {
+            sink_per_node: Current::from_milliamps(sink_ma),
+            pads,
+            ..CoupledGridSpec::demo(rows, cols)
+        };
+        let options = CoupledOptions::default();
+        let tight = CoupledOptions {
+            tolerance: 1.0e-9,
+            ..options.clone()
+        };
+        let mut a = CoupledEngine::new(spec.clone(), options.clone()).unwrap();
+        let mut b = CoupledEngine::new(spec, tight).unwrap();
+        a.run().unwrap();
+        b.run().unwrap();
+        for (ta, tb) in a.branch_temperatures().iter().zip(b.branch_temperatures()) {
+            prop_assert!(
+                (ta - tb).abs() <= 2.0 * options.tolerance,
+                "default tolerance {ta} K vs 1e-9 K run {tb} K"
+            );
+        }
+        let extra = a.step().unwrap();
+        prop_assert!(extra <= options.tolerance, "one more step moved {extra} K");
     }
 }

@@ -213,42 +213,68 @@ impl WeakestLinkPopulation {
     }
 
     /// The time at which the *system* reaches a cumulative failure
-    /// fraction, found by bisection (the mixture has no closed form).
+    /// fraction `q`: Newton's method on `u = ln t` for the log cumulative
+    /// hazard `ln H`, `H = −Σ ln(1 − Φ((u − ln median_i)/σ_i))`, which is
+    /// close to linear in `u` (THEORY.md §10). It starts where every
+    /// member reaches `q/n` (by the union bound the chip is then below
+    /// `q`); the weakest member alone at `q` bounds the root from above,
+    /// and a step that leaves the bracket bisects it instead.
     ///
     /// # Errors
     ///
     /// Returns [`EmError::InvalidParameter`] unless `0 < fraction < 1`.
     pub fn time_to_fraction(&self, fraction: f64) -> Result<Seconds, EmError> {
+        self.time_to_fraction_counted(fraction).map(|(t, _)| t)
+    }
+
+    /// [`WeakestLinkPopulation::time_to_fraction`] and the population
+    /// sums it took.
+    fn time_to_fraction_counted(&self, fraction: f64) -> Result<(Seconds, usize), EmError> {
         if !(fraction > 0.0 && fraction < 1.0) {
             return Err(EmError::InvalidParameter {
                 message: format!("fraction must be in (0, 1), got {fraction}"),
             });
         }
-        // The system fails no later than its weakest member at the same
-        // fraction: that member alone already contributes F ≥ fraction.
-        let mut hi = f64::INFINITY;
+        #[allow(clippy::cast_precision_loss)]
+        let share = (fraction / self.members.len() as f64).max(f64::MIN_POSITIVE);
+        let (z_hi, z_lo) = (inverse_normal_cdf(fraction), inverse_normal_cdf(share));
+        let mut members = Vec::with_capacity(self.members.len());
+        let (mut lo, mut t_hi) = (f64::INFINITY, f64::INFINITY);
         for m in &self.members {
-            hi = hi.min(m.time_to_fraction(fraction)?.value());
+            let (ln_median, sigma) = (m.median.value().ln(), m.sigma);
+            members.push((ln_median, sigma));
+            lo = lo.min(ln_median + sigma * z_lo);
+            // As `LognormalLifetime::time_to_fraction` quotes it.
+            t_hi = t_hi.min(m.median.value() * (sigma * z_hi).exp());
         }
-        let mut lo = hi;
-        while self.failure_fraction_at(Seconds::new(lo)) > fraction {
-            lo /= 2.0;
-            if lo < f64::MIN_POSITIVE {
-                return Ok(Seconds::ZERO);
+        let done = |u: f64, sums| Ok((Seconds::new(u.exp().min(t_hi)), sums));
+        let (mut hi, mut u) = (t_hi.ln(), lo);
+        let target = (-(-fraction).ln_1p()).ln();
+        for sums in 1..=200 {
+            // ln(1 − F_chip) = −H and its derivative in u.
+            let (s, ds) = members.iter().fold((0.0, 0.0), |(s, ds), &(a, sigma)| {
+                let z = (u - a) / sigma;
+                let p = normal_cdf(z);
+                let density = (-0.5 * z * z).exp() / ((2.0 * std::f64::consts::PI).sqrt() * sigma);
+                (s + (-p).ln_1p(), ds - density / (1.0 - p))
+            });
+            let excess = (-s).ln() - target;
+            (lo, hi) = if excess < 0.0 { (u, hi) } else { (lo, u) };
+            // d ln H/du = ds/s; a sub-tolerance step is the answer even
+            // where rounding puts it a hair outside the bracket.
+            let step = -excess * s / ds;
+            if step.abs() <= 1e-12 {
+                return done(u + step, sums);
+            }
+            u += step;
+            if !(lo..=hi).contains(&u) {
+                u = 0.5 * (lo + hi);
+            }
+            if hi - lo <= 1e-12 {
+                return done(u, sums);
             }
         }
-        for _ in 0..200 {
-            let mid = 0.5 * (lo + hi);
-            if self.failure_fraction_at(Seconds::new(mid)) > fraction {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-            if hi - lo <= 1e-12 * hi {
-                break;
-            }
-        }
-        Ok(Seconds::new(0.5 * (lo + hi)))
+        done(u, 200)
     }
 }
 
@@ -497,6 +523,68 @@ mod tests {
         // contribute) but fails no later than it.
         assert!(sys <= weak_alone);
         assert!(sys.value() > 0.9 * weak_alone.value());
+    }
+
+    /// One member: the chip quantile is the member's closed form
+    /// `median·e^{σ·Φ⁻¹(q)}`.
+    #[test]
+    fn weakest_link_quantile_of_one_member_is_its_closed_form() {
+        for sigma in [0.1, 0.5, 1.5] {
+            for q in [1e-6, 1e-3, 0.1, 0.5] {
+                let m = LognormalLifetime::new(years(25.0), sigma).unwrap();
+                let pop = WeakestLinkPopulation::new(vec![m]).unwrap();
+                let (got, sums) = pop.time_to_fraction_counted(q).unwrap();
+                let want = m.median().value() * (sigma * inverse_normal_cdf(q)).exp();
+                let rel = (got.value() - want).abs() / want;
+                assert!(rel < 1e-12, "σ {sigma}, q {q}: {} vs {want}", got.value());
+                assert!(sums <= 12, "σ {sigma}, q {q}: {sums} sums");
+            }
+        }
+    }
+
+    /// n identical members: the chip reaches `q` where each member
+    /// reaches `F = 1 − (1 − q)^{1/n}`.
+    #[test]
+    fn weakest_link_quantile_of_identical_members_is_closed_form() {
+        for n in [2, 64, 10_000] {
+            for q in [1e-6, 1e-3, 0.5] {
+                let m = LognormalLifetime::new(years(25.0), 0.5).unwrap();
+                let pop = WeakestLinkPopulation::new(vec![m; n]).unwrap();
+                let (got, sums) = pop.time_to_fraction_counted(q).unwrap();
+                #[allow(clippy::cast_precision_loss)]
+                let per_member = -((-q).ln_1p() / n as f64).exp_m1();
+                let want = m.time_to_fraction(per_member).unwrap().value();
+                let rel = (got.value() - want).abs() / want;
+                assert!(rel < 1e-12, "n {n}, q {q}: {} vs {want}", got.value());
+                assert!(sums <= 12, "n {n}, q {q}: {sums} sums");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// On mixed populations the returned time inverts the chip CDF
+        /// to 1e-10, within 12 population sums.
+        #[test]
+        fn weakest_link_quantile_inverts_the_chip_cdf(
+            n in 1_usize..=10_000,
+            log_q in -6.0_f64..=0.5_f64.log10(),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let members = (0..n)
+                .map(|_| {
+                    let median = Seconds::new(10f64.powf(rng.gen_range(6.0..12.0)));
+                    LognormalLifetime::new(median, rng.gen_range(0.1..=1.5)).unwrap()
+                })
+                .collect();
+            let pop = WeakestLinkPopulation::new(members).unwrap();
+            let q = 10f64.powf(log_q);
+            let (t, sums) = pop.time_to_fraction_counted(q).unwrap();
+            let f = pop.failure_fraction_at(t);
+            proptest::prop_assert!((f - q).abs() <= 1e-10 * q, "F(t̂) = {f} for q = {q}");
+            proptest::prop_assert!(sums <= 12, "{sums} population sums for n = {n}, q = {q}");
+        }
     }
 
     #[test]

@@ -494,6 +494,8 @@ fn print_help() {
                      [--metal cu|alcu] [--vdd <V>] [--sink-ma <I>] [--ref-c <T>]\n\
                      [--pads r:c,r:c,...] [--tol <K>] [--max-iters <n>]\n\
                      [--damping <a>] [--sigma <s>] [--quantile <f>]\n\
+                     (--damping: relaxation α in (0, 1] of the Anderson-mixed\n\
+                     temperature update, default 0.7)\n\
            tree-signoff\n\
                      Korhonen stress-evolution EM signoff of supply trees\n\
                      extracted from a SPICE-subset netlist (resistor trees\n\
@@ -1571,24 +1573,31 @@ fn cmd_doctor(args: &[String]) -> Result<(), CliError> {
                 "relax --tol, or adjust --damping so the update makes progress".into(),
             ],
         )
+    } else if let Some(h) = health.as_ref().filter(|h| h.last_delta > h.tolerance) {
+        let more = h.picard.predicted_iterations.map_or_else(
+            || "raise --max-iters".to_owned(),
+            |n| format!("raise --max-iters by at least {n} (the fitted rate predicts convergence)"),
+        );
+        (
+            "not-converged",
+            vec![
+                "the loop stopped at the iteration cap with its residual still above \
+                 tolerance: there is no converged state to sign off"
+                    .into(),
+                more,
+                "or relax --tol".into(),
+            ],
+        )
     } else if reason == "violation" {
-        let mut hints = vec![
-            "the solve converged cleanly; the design itself fails its rules".into(),
-            "this is a signoff result, not a numerical failure — see the \
-             violation detail above"
-                .into(),
-        ];
-        if let Some(h) = &health {
-            if h.picard.class == ConvergenceClass::Converging {
-                if let Some(n) = h.picard.predicted_iterations {
-                    hints.push(format!(
-                        "if the violation is `not converged`: raise --max-iters \
-                         by at least {n} (the fitted rate predicts convergence)"
-                    ));
-                }
-            }
-        }
-        ("signoff-violation", hints)
+        (
+            "signoff-violation",
+            vec![
+                "the solve converged cleanly; the design itself fails its rules".into(),
+                "this is a signoff result, not a numerical failure — see the \
+                 violation detail above"
+                    .into(),
+            ],
+        )
     } else if serve_errors > 0 && (reason == "sigusr1" || reason == "request-error") {
         (
             "load-shed",
