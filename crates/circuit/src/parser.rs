@@ -1,9 +1,9 @@
 //! A SPICE-flavoured netlist parser.
 //!
 //! The transient engine is usually driven programmatically (see
-//! [`crate::repeater`]), but interoperability with hand-written decks is
-//! part of being a usable circuit tool. The dialect is a compact subset
-//! of SPICE:
+//! [`crate::repeater`]), but decks from files come through here, up to
+//! the 100k-line supply decks of tree-EM: names are interned in one
+//! buffer, so a line allocates nothing. The dialect is a SPICE subset:
 //!
 //! ```text
 //! * comment lines start with '*' (or '#'); continuation is not needed
@@ -17,8 +17,8 @@
 //! .end
 //! ```
 //!
-//! * Node `0` (also `gnd`/`GND`) is ground; all other node names are
-//!   free-form identifiers allocated on first use.
+//! * Node `0` (also `gnd`, in any case) is ground; other node names are
+//!   case-insensitive and numbered on first use ([`ParsedCircuit::nodes`]).
 //! * Values accept the SPICE magnitude suffixes
 //!   `f p n u m k meg g t` (case-insensitive).
 //! * Device kinds are selected by the first letter of the element name:
@@ -47,6 +47,7 @@
 //! ```
 
 use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher, RandomState};
 
 use crate::netlist::{Circuit, MosParams, MosPolarity, NodeId};
 use crate::sources::SourceWaveform;
@@ -227,8 +228,10 @@ impl From<ParseError> for CircuitError {
 pub struct ParsedCircuit {
     /// The assembled circuit.
     pub circuit: Circuit,
-    nodes: HashMap<String, NodeId>,
-    devices: HashMap<String, usize>,
+    /// Node names, lowercased: name `i` is node `i + 1`.
+    nodes: Names,
+    /// Element names, uppercased: name `k` is device `k`.
+    devices: Names,
 }
 
 impl ParsedCircuit {
@@ -239,51 +242,142 @@ impl ParsedCircuit {
         if is_ground(name) {
             return Some(Circuit::GROUND);
         }
-        self.nodes.get(&name.to_ascii_lowercase()).copied()
+        self.nodes.find(&name.to_ascii_lowercase()).map(|i| i + 1)
     }
 
     /// Resolves an element name (e.g. `"R1"`) to its device index, usable
     /// with the current probes of [`crate::transient::TransientResult`].
     #[must_use]
     pub fn device(&self, name: &str) -> Option<usize> {
-        self.devices.get(&name.to_ascii_uppercase()).copied()
+        self.devices.find(&name.to_ascii_uppercase())
     }
 
-    /// Every declared node name (lowercased) with its id, in no
-    /// particular order. Ground aliases are not listed.
+    /// Every declared node name (lowercased) with its id, in order of
+    /// first use in the deck. Ground aliases are not listed.
     pub fn nodes(&self) -> impl Iterator<Item = (&str, NodeId)> {
-        self.nodes.iter().map(|(name, &id)| (name.as_str(), id))
+        (0..self.nodes.ends.len()).map(|i| (self.nodes.name(i), i + 1))
+    }
+}
+
+/// Ends a hash chain in [`Names::next`].
+const NO_NAME: usize = usize::MAX;
+
+/// A name interner: every name lives in one `String`, so a deck costs
+/// no allocation per name, and names are found by a keyed hash of their
+/// text, so a hostile deck cannot force collisions.
+#[derive(Debug, Clone, Default)]
+struct Names {
+    /// The names back to back: name `i` ends at `ends[i]` and starts
+    /// where name `i − 1` ends.
+    text: String,
+    ends: Vec<usize>,
+    /// The next older name with the same 64-bit hash, or [`NO_NAME`].
+    next: Vec<usize>,
+    /// Each hash to its newest name.
+    index: HashMap<u64, usize, BuildHasherDefault<PassThrough>>,
+    keys: RandomState,
+}
+
+impl Names {
+    fn with_capacity(names: usize) -> Self {
+        Self {
+            ends: Vec::with_capacity(names),
+            next: Vec::with_capacity(names),
+            index: HashMap::with_capacity_and_hasher(names, BuildHasherDefault::default()),
+            ..Self::default()
+        }
+    }
+
+    fn name(&self, id: usize) -> &str {
+        let start = id.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        &self.text[start..self.ends[id]]
+    }
+
+    /// The id of `name`, already case-folded, whose hash is `hash`.
+    fn lookup(&self, hash: u64, name: &str) -> Option<usize> {
+        let mut id = *self.index.get(&hash)?;
+        while self.name(id) != name {
+            id = self.next[id];
+            if id == NO_NAME {
+                return None;
+            }
+        }
+        Some(id)
+    }
+
+    fn find(&self, name: &str) -> Option<usize> {
+        self.lookup(self.keys.hash_one(name), name)
+    }
+
+    /// Interns `raw` case-folded by `fold`: `Ok` with the id of a new
+    /// name, `Err` with the id of one seen before.
+    fn intern(&mut self, raw: &str, fold: fn(&mut str)) -> Result<usize, usize> {
+        let start = self.text.len();
+        self.text.push_str(raw);
+        fold(&mut self.text[start..]);
+        let name = &self.text[start..];
+        let hash = self.keys.hash_one(name);
+        if let Some(id) = self.lookup(hash, name) {
+            self.text.truncate(start);
+            return Err(id);
+        }
+        let id = self.ends.len();
+        self.ends.push(self.text.len());
+        self.next
+            .push(self.index.insert(hash, id).unwrap_or(NO_NAME));
+        Ok(id)
+    }
+}
+
+/// The hasher of the name index. Its keys are keyed SipHash values
+/// already, so a `u64` passes through unchanged.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = bytes
+            .iter()
+            .fold(self.0, |h, &b| h.rotate_left(8) ^ u64::from(b));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
     }
 }
 
 fn is_ground(name: &str) -> bool {
-    matches!(name.to_ascii_lowercase().as_str(), "0" | "gnd")
+    name == "0" || name.eq_ignore_ascii_case("gnd")
 }
 
+/// The SPICE magnitude suffixes, tried in this order (`meg` before `g`).
+const SUFFIXES: [(&str, f64); 9] = [
+    ("meg", 1.0e6),
+    ("f", 1.0e-15),
+    ("p", 1.0e-12),
+    ("n", 1.0e-9),
+    ("u", 1.0e-6),
+    ("m", 1.0e-3),
+    ("k", 1.0e3),
+    ("g", 1.0e9),
+    ("t", 1.0e12),
+];
+
 /// The numeric value of a SPICE magnitude-suffixed token, if it is one.
+/// Suffixes match in either case, as `f64` parsing does.
 fn raw_value(token: &str) -> Option<f64> {
-    let t = token.trim().to_ascii_lowercase();
-    let (mult, digits) = if let Some(stripped) = t.strip_suffix("meg") {
-        (1.0e6, stripped)
-    } else if let Some(stripped) = t.strip_suffix('f') {
-        (1.0e-15, stripped)
-    } else if let Some(stripped) = t.strip_suffix('p') {
-        (1.0e-12, stripped)
-    } else if let Some(stripped) = t.strip_suffix('n') {
-        (1.0e-9, stripped)
-    } else if let Some(stripped) = t.strip_suffix('u') {
-        (1.0e-6, stripped)
-    } else if let Some(stripped) = t.strip_suffix('m') {
-        (1.0e-3, stripped)
-    } else if let Some(stripped) = t.strip_suffix('k') {
-        (1.0e3, stripped)
-    } else if let Some(stripped) = t.strip_suffix('g') {
-        (1.0e9, stripped)
-    } else if let Some(stripped) = t.strip_suffix('t') {
-        (1.0e12, stripped)
-    } else {
-        (1.0, t.as_str())
-    };
+    let t = token.trim();
+    let (mult, digits) = SUFFIXES
+        .iter()
+        .find_map(|&(suffix, mult)| {
+            let (digits, tail) = t.split_at_checked(t.len().checked_sub(suffix.len())?)?;
+            tail.eq_ignore_ascii_case(suffix).then_some((mult, digits))
+        })
+        .unwrap_or((1.0, t));
     digits.parse::<f64>().ok().map(|v| v * mult)
 }
 
@@ -315,28 +409,29 @@ impl Tok<'_> {
     }
 }
 
-/// Splits a normalized deck line into tokens with columns. Because
-/// normalization maps `(`, `)`, and `,` to single spaces, byte offsets
-/// in the normalized line equal offsets in the raw line.
-fn tokenize(normalized: &str) -> Vec<Tok<'_>> {
-    let mut out = Vec::new();
-    let bytes = normalized.as_bytes();
+/// Splits a raw deck line into `out`'s tokens with their columns. `(`,
+/// `)` and `,` separate tokens as whitespace does, so `PULSE(…)`
+/// argument lists need no rewrite and columns are byte offsets into the
+/// raw line.
+fn tokenize<'t>(line: &'t str, out: &mut Vec<Tok<'t>>) {
+    out.clear();
+    let separates = |b: u8| b.is_ascii_whitespace() || matches!(b, b'(' | b')' | b',');
+    let bytes = line.as_bytes();
     let mut i = 0;
     while i < bytes.len() {
-        if bytes[i].is_ascii_whitespace() {
+        if separates(bytes[i]) {
             i += 1;
             continue;
         }
         let start = i;
-        while i < bytes.len() && !bytes[i].is_ascii_whitespace() {
+        while i < bytes.len() && !separates(bytes[i]) {
             i += 1;
         }
         out.push(Tok {
-            text: &normalized[start..i],
+            text: &line[start..i],
             col: start + 1,
         });
     }
-    out
 }
 
 /// Parses a whole deck into a [`ParsedCircuit`].
@@ -346,10 +441,14 @@ fn tokenize(normalized: &str) -> Vec<Tok<'_>> {
 /// Returns a [`ParseError`] pointing (line, column) at any malformed
 /// element.
 pub fn parse_netlist(text: &str) -> Result<ParsedCircuit, ParseError> {
+    // An element takes a line of 8 bytes or more, and adds about one node.
+    let names = (text.bytes().filter(|&b| b == b'\n').count() + 1).min(text.len() / 8);
     let mut parsed = ParsedCircuit {
         circuit: Circuit::new(),
-        ..ParsedCircuit::default()
+        nodes: Names::with_capacity(names),
+        devices: Names::with_capacity(names),
     };
+    let mut tokens = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
         let lineno = idx + 1;
         let line = raw.trim();
@@ -358,23 +457,19 @@ pub fn parse_netlist(text: &str) -> Result<ParsedCircuit, ParseError> {
         }
         if line.starts_with('.') {
             // dot-commands: only .end is meaningful in this subset
-            if line.to_ascii_lowercase().starts_with(".end") {
+            if matches!(line.get(..4), Some(d) if d.eq_ignore_ascii_case(".end")) {
                 break;
             }
             continue;
         }
-        // Normalize PULSE(...) style argument lists into whitespace
-        // tokens; the raw (untrimmed) line keeps columns honest.
-        let normalized = raw.replace(['(', ')', ','], " ");
-        let tokens = tokenize(&normalized);
+        tokenize(raw, &mut tokens);
         let Some(first) = tokens.first() else {
             continue;
         };
-        let name = first.text.to_ascii_uppercase();
-        let Some(kind) = name.chars().next() else {
+        let Some(kind) = first.text.chars().next() else {
             continue;
         };
-        let device_index = match kind {
+        match kind.to_ascii_uppercase() {
             'R' => parse_resistor(&mut parsed, lineno, &tokens)?,
             'C' => parse_capacitor(&mut parsed, lineno, &tokens)?,
             'V' => parse_source(&mut parsed, lineno, &tokens, true)?,
@@ -388,11 +483,12 @@ pub fn parse_netlist(text: &str) -> Result<ParsedCircuit, ParseError> {
                 })
             }
         };
-        if parsed.devices.insert(name.clone(), device_index).is_some() {
+        // Each element line adds one device and one name.
+        if let Err(seen) = parsed.devices.intern(first.text, str::make_ascii_uppercase) {
             return Err(ParseError::DuplicateElement {
                 line: lineno,
                 column: first.col,
-                name,
+                name: parsed.devices.name(seen).to_owned(),
             });
         }
     }
@@ -403,13 +499,11 @@ fn resolve_node(parsed: &mut ParsedCircuit, name: &str) -> NodeId {
     if is_ground(name) {
         return Circuit::GROUND;
     }
-    let key = name.to_ascii_lowercase();
-    if let Some(&id) = parsed.nodes.get(&key) {
-        return id;
+    match parsed.nodes.intern(name, str::make_ascii_lowercase) {
+        // Only this function allocates nodes, so name `i` is node `i + 1`.
+        Ok(_) => parsed.circuit.node(),
+        Err(id) => id + 1,
     }
-    let id = parsed.circuit.node();
-    parsed.nodes.insert(key, id);
-    id
 }
 
 /// Wraps a device-construction failure with the element's position.
@@ -478,43 +572,39 @@ fn parse_source(
     }
     let plus = resolve_node(parsed, tokens[1].text);
     let minus = resolve_node(parsed, tokens[2].text);
-    let spec = tokens[3].text.to_ascii_uppercase();
-    let waveform = match spec.as_str() {
-        "DC" => {
-            if tokens.len() != 5 {
-                return Err(ParseError::WrongArity {
-                    line: lineno,
-                    column: tokens[3].col,
-                    expected: "DC source needs one value",
-                });
-            }
-            SourceWaveform::dc(tokens[4].value(lineno)?)
+    let spec = tokens[3].text;
+    let waveform = if spec.eq_ignore_ascii_case("DC") {
+        if tokens.len() != 5 {
+            return Err(ParseError::WrongArity {
+                line: lineno,
+                column: tokens[3].col,
+                expected: "DC source needs one value",
+            });
         }
-        "PULSE" => {
-            if tokens.len() != 11 {
-                return Err(ParseError::WrongArity {
-                    line: lineno,
-                    column: tokens[3].col,
-                    expected: "PULSE needs 7 values: v0 v1 td tr tf pw per",
-                });
-            }
-            let mut v = [0.0; 7];
-            for (slot, tok) in v.iter_mut().zip(&tokens[4..11]) {
-                *slot = tok.value(lineno)?;
-            }
-            SourceWaveform::pulse(v[0], v[1], v[2], v[3], v[4], v[5], v[6])
+        SourceWaveform::dc(tokens[4].value(lineno)?)
+    } else if spec.eq_ignore_ascii_case("PULSE") {
+        if tokens.len() != 11 {
+            return Err(ParseError::WrongArity {
+                line: lineno,
+                column: tokens[3].col,
+                expected: "PULSE needs 7 values: v0 v1 td tr tf pw per",
+            });
         }
-        _ => {
-            // bare value shorthand: `V1 a 0 2.5`
-            if tokens.len() != 4 {
-                return Err(ParseError::UnknownSourceSpec {
-                    line: lineno,
-                    column: tokens[3].col,
-                    spec,
-                });
-            }
-            SourceWaveform::dc(tokens[3].value(lineno)?)
+        let mut v = [0.0; 7];
+        for (slot, tok) in v.iter_mut().zip(&tokens[4..11]) {
+            *slot = tok.value(lineno)?;
         }
+        SourceWaveform::pulse(v[0], v[1], v[2], v[3], v[4], v[5], v[6])
+    } else {
+        // bare value shorthand: `V1 a 0 2.5`
+        if tokens.len() != 4 {
+            return Err(ParseError::UnknownSourceSpec {
+                line: lineno,
+                column: tokens[3].col,
+                spec: spec.to_ascii_uppercase(),
+            });
+        }
+        SourceWaveform::dc(tokens[3].value(lineno)?)
     };
     Ok(if voltage {
         parsed.circuit.voltage_source(plus, minus, waveform)

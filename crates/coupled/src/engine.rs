@@ -250,8 +250,9 @@ pub struct CoupledEngine {
     converged: bool,
 }
 
-/// Type-II Anderson history over the branch temperatures, allocated once.
-#[derive(Debug, Clone)]
+/// Type-II Anderson history over the branch temperatures. The step that
+/// converges releases it, and the next step allocates it again.
+#[derive(Debug, Clone, Default)]
 struct Mixing {
     /// Residual `f = G − T` and target `G` of the latest iterate, one per
     /// branch.
@@ -267,15 +268,21 @@ struct Mixing {
 }
 
 impl Mixing {
-    fn new(branches: usize) -> Self {
-        Self {
+    /// Allocates the history for `branches` if it was released. Returns
+    /// whether it was kept, so `f` and `g` still hold an iterate.
+    fn allocate(&mut self, branches: usize) -> bool {
+        if !self.f.is_empty() {
+            return true;
+        }
+        *self = Self {
             f: vec![0.0; branches],
             g: vec![0.0; branches],
             df: vec![0.0; MIXING_DEPTH * branches],
             dg: vec![0.0; MIXING_DEPTH * branches],
             len: 0,
             next: 0,
-        }
+        };
+        false
     }
 
     /// Drops the difference columns, keeping the latest iterate.
@@ -289,15 +296,26 @@ impl Mixing {
     /// gives non-finite weights.
     fn weights(&self) -> [f64; MIXING_DEPTH] {
         let n = self.f.len();
-        let column = |j: usize| &self.df[j * n..(j + 1) * n];
+        // The Gram matrix ΔFᵀΔF and ΔFᵀf in one sweep. Each sum runs over
+        // the branches in order from −0.0, as `Iterator::sum` does.
+        let (mut gram, mut rhs) = ([[-0.0; MIXING_DEPTH]; MIXING_DEPTH], [-0.0; MIXING_DEPTH]);
+        for (k, &f) in self.f.iter().enumerate() {
+            let df = |j: usize| self.df[j * n + k];
+            for (i, (row, r)) in gram.iter_mut().zip(&mut rhs).enumerate().take(self.len) {
+                for (j, g) in row[..=i].iter_mut().enumerate() {
+                    *g += df(i) * df(j);
+                }
+                *r += df(i) * f;
+            }
+        }
         let dot = |a: &[f64], b: &[f64]| a.iter().zip(b).map(|(x, y)| x * y).sum::<f64>();
         let (mut l, mut gamma) = ([[0.0; MIXING_DEPTH]; MIXING_DEPTH], [0.0; MIXING_DEPTH]);
         for i in 0..self.len {
             for j in 0..=i {
-                let s = dot(column(i), column(j)) - dot(&l[i][..j], &l[j][..j]);
+                let s = gram[i][j] - dot(&l[i][..j], &l[j][..j]);
                 l[i][j] = if i == j { s.sqrt() } else { s / l[j][j] };
             }
-            gamma[i] = (dot(column(i), &self.f) - dot(&l[i][..i], &gamma[..i])) / l[i][i];
+            gamma[i] = (rhs[i] - dot(&l[i][..i], &gamma[..i])) / l[i][i];
         }
         for i in (0..self.len).rev() {
             let s: f64 = (i + 1..self.len).map(|j| l[j][i] * gamma[j]).sum();
@@ -470,7 +488,7 @@ impl CoupledEngine {
             branch_r_mult: vec![1.0; n_branches],
             node_power: vec![0.0; nodes],
             node_rise: Vec::new(),
-            mixing: Mixing::new(n_branches),
+            mixing: Mixing::default(),
             records: Vec::new(),
             converged: false,
         })
@@ -537,8 +555,9 @@ impl CoupledEngine {
         let alpha = self.options.damping;
         let n = self.branches.len();
         let mix = &mut self.mixing;
-        // `f` and `g` hold the previous iterate of this epoch, if any.
-        let primed = !self.records.is_empty();
+        // `f` and `g` hold the previous iterate of this epoch, if any; a
+        // freshly allocated history holds none.
+        let primed = mix.allocate(n) && !self.records.is_empty();
         let column = mix.next * n;
         let mut residual = 0.0_f64;
         for (k, &((r0, c0), (r1, c1))) in self.branches.iter().enumerate() {
@@ -574,6 +593,10 @@ impl CoupledEngine {
                 *t -= gj * (mix.dg[j * n + k] - (1.0 - alpha) * mix.df[j * n + k]);
             }
             peak = peak.max(*t);
+        }
+        if self.converged {
+            // Free the history before `assess`, where a run peaks.
+            *mix = Mixing::default();
         }
         let worst_drop = self.spec.vdd.value()
             - self
@@ -937,6 +960,7 @@ impl CoupledEngine {
         let black = BlackModel::for_metal(&self.spec.metal);
         let blech = self.options.blech;
         let pitch = self.spec.pitch;
+        let blech_floor = blech.as_ref().map(|b| b.immortality_density(pitch));
         let area = self.cross_section;
         // Snap the logical context before the fan-out so the per-strap
         // spans on rayon workers parent under `coupled.assess`.
@@ -949,7 +973,6 @@ impl CoupledEngine {
             let j = i / area;
             let t = Kelvin::new(self.branch_t[k]);
             let allowed_wearout = black.allowed_average_density(t);
-            let blech_floor = blech.as_ref().map(|b| b.immortality_density(pitch));
             let (allowed, governing) = match blech_floor {
                 Some(floor) if floor > allowed_wearout => (floor, GoverningRule::BlechImmortal),
                 _ => (allowed_wearout, GoverningRule::SelfConsistent),
@@ -965,13 +988,6 @@ impl CoupledEngine {
                 utilization: j / allowed.value(),
                 metal_temperature: t,
             };
-            // Atomic counters, so the serial and parallel fan-outs
-            // agree on the totals.
-            if immortal {
-                metrics::counter("coupled.em.immortal_straps").inc();
-            } else {
-                metrics::counter("coupled.em.mortal_straps").inc();
-            }
             let stress = (!immortal).then_some((CurrentDensity::new(j), t));
             (
                 BranchAssessment {
@@ -994,6 +1010,9 @@ impl CoupledEngine {
         // Batch TTF over the mortal straps, then the weakest-link rollup.
         let stresses: Vec<(CurrentDensity, Kelvin)> =
             assessed.iter().filter_map(|(_, s)| *s).collect();
+        metrics::counter("coupled.em.mortal_straps").add(stresses.len() as u64);
+        metrics::counter("coupled.em.immortal_straps")
+            .add((assessed.len() - stresses.len()) as u64);
         let ttfs = black.batch_ttf(&stresses);
         let mut members = Vec::with_capacity(ttfs.len());
         // `batch_ttf` yields one TTF per stress, and `stresses` holds

@@ -19,7 +19,7 @@ use hotwire_obs::metrics;
 use hotwire_tech::Metal;
 use hotwire_units::{CurrentDensity, Kelvin, Length};
 
-use crate::tree::{InterconnectTree, TreeSegment};
+use crate::tree::{Adjacency, InterconnectTree, TreeSegment};
 use crate::TreeEmError;
 
 /// Uniform geometry and operating point applied to extracted trees.
@@ -102,16 +102,12 @@ pub fn trees_from_netlist(
     }
 
     // Union resistor edges into components.
-    let mut adj: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
-    for (e, &(a, b, _)) in edges.iter().enumerate() {
-        if a == b {
-            return Err(TreeEmError::UnsupportedNetlist {
-                message: format!("resistor {e} is a self-loop at node '{}'", name(a)),
-            });
-        }
-        adj[a].push((e, b));
-        adj[b].push((e, a));
+    if let Some((e, &(a, _, _))) = edges.iter().enumerate().find(|(_, (a, b, _))| a == b) {
+        return Err(TreeEmError::UnsupportedNetlist {
+            message: format!("resistor {e} is a self-loop at node '{}'", name(a)),
+        });
     }
+    let adj = Adjacency::new(n, edges.iter().map(|&(a, b, _)| (a, b)));
 
     let rho = options.metal.resistivity(options.temperature).value();
     let area = options.width.value() * options.thickness.value();

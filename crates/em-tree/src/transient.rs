@@ -959,8 +959,9 @@ mod tests {
     /// A mesh node of the asked kind — 1 a leaf, 2 a junction, 3 the
     /// root, 4 a node inside a segment (or between two) — or `None`.
     fn void_site(solver: &KorhonenSolver, kind: usize, mix: &mut Mix) -> Option<usize> {
-        let degree: Vec<usize> = solver.tree.adjacency().iter().map(Vec::len).collect();
-        let n_tree = degree.len();
+        let n_tree = solver.tree.node_count();
+        let adjacency = solver.tree.adjacency();
+        let degree: Vec<usize> = (0..n_tree).map(|u| adjacency[u].len()).collect();
         let candidates: Vec<usize> = match kind {
             1 => (0..n_tree).filter(|&i| degree[i] == 1).collect(),
             2 => (0..n_tree).filter(|&i| degree[i] >= 3).collect(),

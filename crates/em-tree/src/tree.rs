@@ -233,21 +233,66 @@ impl InterconnectTree {
         Self::new(self.name.clone(), self.node_count, segments)
     }
 
-    /// Adjacency list: for each node, `(segment index, other endpoint)`.
+    /// Each node's `(segment index, other endpoint)` pairs.
     #[must_use]
-    pub(crate) fn adjacency(&self) -> Vec<Vec<(usize, usize)>> {
-        let mut adj = vec![Vec::new(); self.node_count];
-        for (i, s) in self.segments.iter().enumerate() {
-            adj[s.from].push((i, s.to));
-            adj[s.to].push((i, s.from));
+    pub(crate) fn adjacency(&self) -> Adjacency {
+        let ends = self.segments.iter().map(|s| (s.from, s.to));
+        Adjacency::new(self.node_count, ends)
+    }
+}
+
+/// Compressed (CSR) adjacency: `adj[u]` is node `u`'s `(edge index, other
+/// endpoint)` pairs in edge order, every node's in one allocation.
+#[derive(Debug, Clone)]
+pub(crate) struct Adjacency {
+    /// Node `u`'s pairs are `pairs[offsets[u]..offsets[u + 1]]`.
+    offsets: Vec<usize>,
+    pairs: Vec<(usize, usize)>,
+}
+
+impl Adjacency {
+    /// The adjacency of `node_count` nodes joined by edges with these
+    /// endpoints (each below `node_count`), in edge order.
+    pub(crate) fn new<I>(node_count: usize, ends: I) -> Self
+    where
+        I: DoubleEndedIterator<Item = (usize, usize)> + ExactSizeIterator + Clone,
+    {
+        // Degrees, then their running sums: where each node's list ends.
+        let mut offsets = vec![0; node_count + 1];
+        for (a, b) in ends.clone() {
+            offsets[a] += 1;
+            offsets[b] += 1;
         }
-        adj
+        let mut end = 0;
+        for offset in &mut offsets {
+            end += *offset;
+            *offset = end;
+        }
+        // Filling each list back to front from its end, last edge first,
+        // leaves it in edge order and its offset at its start.
+        let mut pairs = vec![(0, 0); end];
+        for (e, (a, b)) in ends.enumerate().rev() {
+            offsets[a] -= 1;
+            pairs[offsets[a]] = (e, b);
+            offsets[b] -= 1;
+            pairs[offsets[b]] = (e, a);
+        }
+        Self { offsets, pairs }
+    }
+}
+
+impl std::ops::Index<usize> for Adjacency {
+    type Output = [(usize, usize)];
+
+    fn index(&self, u: usize) -> &Self::Output {
+        &self.pairs[self.offsets[u]..self.offsets[u + 1]]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn seg(from: usize, to: usize) -> TreeSegment {
         TreeSegment {
@@ -279,6 +324,40 @@ mod tests {
         // A T-junction: 0-1, 1-2, 1-3.
         let t = InterconnectTree::new("tee", 4, vec![seg(0, 1), seg(1, 2), seg(1, 3)]).unwrap();
         assert_eq!(t.adjacency()[1].len(), 3);
+    }
+
+    proptest! {
+        /// On random trees, with their edges in random order and
+        /// orientation, the compressed adjacency lists each node's pairs
+        /// as one `Vec` per node filled edge by edge does.
+        #[test]
+        fn adjacency_matches_per_node_lists(
+            draws in proptest::collection::vec(any::<u64>(), 1..80),
+        ) {
+            // Node k + 1 hangs off node `draw % (k + 1)`, the draw's top
+            // bit orients the edge, and its rotation orders the edges.
+            let mut keyed: Vec<(u64, (usize, usize))> = draws
+                .iter()
+                .enumerate()
+                .map(|(k, &d)| {
+                    let parent = (d % (k as u64 + 1)) as usize;
+                    let ends = if d >> 63 == 1 { (k + 1, parent) } else { (parent, k + 1) };
+                    (d.rotate_left(17), ends)
+                })
+                .collect();
+            keyed.sort_unstable();
+            let ends: Vec<(usize, usize)> = keyed.into_iter().map(|(_, e)| e).collect();
+            let n = ends.len() + 1;
+            let mut lists = vec![Vec::new(); n];
+            for (e, &(a, b)) in ends.iter().enumerate() {
+                lists[a].push((e, b));
+                lists[b].push((e, a));
+            }
+            let adj = Adjacency::new(n, ends.iter().copied());
+            for (u, list) in lists.iter().enumerate() {
+                prop_assert_eq!(&adj[u], list.as_slice());
+            }
+        }
     }
 
     #[test]
