@@ -40,8 +40,8 @@ fn power_grid(n: usize) -> PowerGrid {
     .expect("valid grid spec")
 }
 
-/// The direct DC analysis across grid sizes: dense LU at 10×10 (below
-/// the sparse crossover), the AMD-ordered LDLᵀ from 20×20 up.
+/// The direct DC analysis across grid sizes, every one through the
+/// AMD-ordered LDLᵀ.
 fn bench_power_grid_analyze(c: &mut Criterion) {
     let mut group = c.benchmark_group("power_grid_analyze");
     group.sample_size(10);

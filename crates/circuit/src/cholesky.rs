@@ -1,10 +1,11 @@
 //! Sparse LDLᵀ (Cholesky) factorization for symmetric positive-definite
-//! MNA systems — the SPD fast path.
+//! systems — the solver of the DC power grid.
 //!
 //! The DC power-grid matrix (pads eliminated, gmin on the diagonal) is
 //! SPD by construction, so it never needs the partial pivoting the
-//! general LU in [`crate::sparse`] pays for. This module factors
-//! `P·A·Pᵀ = L·D·Lᵀ` with:
+//! general LU in [`crate::sparse`] pays for, and
+//! [`crate::grid_dc::DcGridSolver`] factors it here at every size. This
+//! module factors `P·A·Pᵀ = L·D·Lᵀ` with:
 //!
 //! * a fill-reducing AMD permutation ([`crate::ordering::amd`]),
 //! * a **symbolic phase** run once per sparsity pattern — elimination
@@ -33,7 +34,6 @@
 //! }
 //! m.add(0, 1, -1.0);
 //! m.add(1, 0, -1.0);
-//! assert!(m.is_spd_candidate());
 //! let f = m.factor_cholesky()?;
 //! let x = f.solve(&[1.0, 0.0, 4.0]);
 //! assert!((2.0 * x[2] - 4.0).abs() < 1e-12);
@@ -64,27 +64,15 @@ const BLOCKED_MIN_ROWS: usize = 8;
 const BLOCKED_MIN_COLS: usize = 2;
 
 impl SparseMatrix {
-    /// `true` when the stamped matrix is a structural + numeric
-    /// symmetric matrix with a strictly positive diagonal in every
-    /// column — the cheap O(nnz) screen the solver dispatch uses before
-    /// attempting [`SparseMatrix::factor_cholesky`]. MNA systems with
-    /// voltage-source branch rows (zero diagonal) or nonreciprocal
-    /// stamps fail this and stay on LU.
-    #[must_use]
-    pub fn is_spd_candidate(&self) -> bool {
-        spd_candidate(self.n(), &self.to_csc())
-    }
-
     /// Factors `P·A·Pᵀ = L·D·Lᵀ` with AMD ordering.
     ///
     /// # Errors
     ///
     /// Returns [`CircuitError::NotPositiveDefinite`] when the matrix is
-    /// not an SPD candidate (see [`SparseMatrix::is_spd_candidate`]) or
-    /// a pivot of `D` comes out non-positive. Callers that can also
-    /// stamp indefinite systems should fall back to
-    /// [`SparseMatrix::factor`] — the solver dispatch in
-    /// [`crate::solver`] does exactly that.
+    /// not symmetric with a strictly positive diagonal (an O(nnz) check
+    /// made before any counter fires) or a pivot of `D` comes out
+    /// non-positive. Unsymmetric or indefinite systems belong to the
+    /// pivoting LU, [`SparseMatrix::factor`].
     pub fn factor_cholesky(&self) -> Result<CholeskyFactorization, CircuitError> {
         let n = self.n();
         let a = self.to_csc();
@@ -1092,7 +1080,6 @@ mod tests {
         asym.add(0, 0, 2.0);
         asym.add(1, 1, 2.0);
         asym.add(0, 1, -1.0); // no (1,0) twin
-        assert!(!asym.is_spd_candidate());
         assert!(matches!(
             asym.factor_cholesky(),
             Err(CircuitError::NotPositiveDefinite { .. })
@@ -1103,22 +1090,25 @@ mod tests {
         vsrc.add(0, 0, 1.0);
         vsrc.add(0, 1, 1.0);
         vsrc.add(1, 0, 1.0);
-        assert!(!vsrc.is_spd_candidate());
+        assert!(matches!(
+            vsrc.factor_cholesky(),
+            Err(CircuitError::NotPositiveDefinite { row: 0 })
+        ));
     }
 
     #[test]
     fn rejects_indefinite_values() {
         // Symmetric with positive diagonal but not positive definite:
-        // [[1, 2], [2, 1]] has eigenvalues 3 and -1.
+        // [[1, 2], [2, 1]] has eigenvalues 3 and -1. The symmetry screen
+        // passes it; the second pivot, 1 − 4 = −3, is what fails.
         let mut m = SparseMatrix::zeros(2);
         m.add(0, 0, 1.0);
         m.add(1, 1, 1.0);
         m.add(0, 1, 2.0);
         m.add(1, 0, 2.0);
-        assert!(m.is_spd_candidate(), "screen can't see indefiniteness");
         assert!(matches!(
             m.factor_cholesky(),
-            Err(CircuitError::NotPositiveDefinite { .. })
+            Err(CircuitError::NotPositiveDefinite { row: 1 })
         ));
     }
 

@@ -19,8 +19,11 @@ pub enum CircuitError {
         /// The pivot row at which elimination failed.
         row: usize,
     },
-    /// An LDLᵀ pivot came out non-positive: the matrix is not positive
-    /// definite. Dispatch layers catch this and fall back to LU.
+    /// An LDLᵀ pivot came out non-positive, or the matrix handed to the
+    /// LDLᵀ is not symmetric with a positive diagonal: it is not
+    /// positive definite. The DC grid solver, whose matrix is SPD
+    /// whenever it is nonsingular, reports this as
+    /// [`CircuitError::Singular`].
     NotPositiveDefinite {
         /// The pivot position (permuted order) at which `D` failed.
         row: usize,

@@ -7,17 +7,19 @@
 //! branches connect them) is fixed once, while branch conductances are
 //! restamped every iteration as each strap's resistivity tracks its
 //! local temperature. The solver eliminates pinned nodes from the
-//! system (no voltage-source branches), stamps the reduced conductance
-//! matrix through the dense/sparse [`MnaMatrix::auto`] crossover, and
-//! keeps the [`MnaFactorization`] alive across solves so iteration 2+
-//! pays only a numeric [`MnaFactorization::refactor`], not the symbolic
-//! analysis.
+//! system (no voltage-source branches), so the reduced conductance
+//! matrix is a weighted grid Laplacian plus the pad ties and the `gmin`
+//! leak on its diagonal: symmetric, and positive definite whenever it is
+//! nonsingular. Every grid, whatever its size, is therefore factored by
+//! the AMD-ordered LDLᵀ of [`crate::cholesky`], and the
+//! [`CholeskyFactorization`] stays alive across solves so iteration 2+
+//! pays only a numeric [`CholeskyFactorization::refactor`], not the
+//! ordering and symbolic analysis.
 //!
-//! The reduced matrix is a weighted grid Laplacian plus the pad ties and
-//! the `gmin` leak on its diagonal: a symmetric nonsingular M-matrix, so
-//! `A⁻¹ ≥ 0` entrywise and `‖A⁻¹‖∞ = max(A⁻¹·1)`. One extra solve with
-//! the factorization in hand therefore gives the exact condition number
-//! κ₁ = κ∞ ([`DcGridSolver::condition_number`]); no estimator is needed.
+//! The reduced matrix is a nonsingular M-matrix, so `A⁻¹ ≥ 0` entrywise
+//! and `‖A⁻¹‖∞ = max(A⁻¹·1)`. One extra solve with the factorization in
+//! hand therefore gives the exact condition number κ₁ = κ∞
+//! ([`DcGridSolver::condition_number`]); no estimator is needed.
 //!
 //! ```
 //! use hotwire_circuit::grid_dc::DcGridSolver;
@@ -33,16 +35,18 @@
 //! # Ok::<(), hotwire_circuit::CircuitError>(())
 //! ```
 
-use crate::solver::{MnaFactorization, MnaMatrix, SolverPath};
+use crate::cholesky::CholeskyFactorization;
+use crate::sparse::SparseMatrix;
 use crate::CircuitError;
 use hotwire_obs::trace::{self, FieldValue, Level};
 use hotwire_obs::{health, metrics};
 
-/// Default relative-residual warn threshold: ‖Ax−b‖∞/‖b‖∞ beyond this
-/// increments `health.residual_warn` and logs a warning. Direct sparse
-/// solves on well-conditioned grids land near machine epsilon; 1e-8
-/// leaves orders of headroom before flagging.
-pub const DEFAULT_RESIDUAL_WARN: f64 = 1e-8;
+/// Relative-residual warn threshold: ‖Ax−b‖∞/‖b‖∞ beyond this increments
+/// `health.residual_warn` and logs a warning, and a KCL imbalance beyond
+/// it increments `health.kcl_warn`. Direct solves on well-conditioned
+/// grids land near machine epsilon; 1e-8 leaves orders of headroom
+/// before flagging.
+pub const RESIDUAL_WARN: f64 = 1e-8;
 
 /// A resistive-grid DC solver with a fixed topology and restampable
 /// branch conductances.
@@ -51,7 +55,7 @@ pub const DEFAULT_RESIDUAL_WARN: f64 = 1e-8;
 /// [`DcGridSolver::solve`] as many times as needed with updated
 /// conductance vectors. The first solve factors the reduced matrix;
 /// later solves reuse the factorization's symbolic structure via
-/// [`MnaFactorization::refactor`]. [`DcGridSolver::condition_number`]
+/// [`CholeskyFactorization::refactor`]. [`DcGridSolver::condition_number`]
 /// reports κ of the matrix behind the current voltages on demand, from
 /// the same factorization.
 #[derive(Debug, Clone)]
@@ -63,10 +67,10 @@ pub struct DcGridSolver {
     n_unknowns: usize,
     gmin: f64,
     sinks: Vec<f64>,
-    matrix: MnaMatrix,
+    matrix: SparseMatrix,
     /// Factors `matrix`; `None` before the first solve and after a
     /// failed one.
-    factorization: Option<MnaFactorization>,
+    factorization: Option<CholeskyFactorization>,
     rhs: Vec<f64>,
     /// Per-row absolute sums of `matrix`; ‖A‖∞ is their maximum.
     row_abs: Vec<f64>,
@@ -74,7 +78,6 @@ pub struct DcGridSolver {
     node_v: Vec<f64>,
     branch_i: Vec<f64>,
     solves: usize,
-    residual_warn: f64,
     last_residual: Option<f64>,
 }
 
@@ -160,7 +163,7 @@ impl DcGridSolver {
             n_unknowns,
             gmin,
             sinks: vec![0.0; n_nodes],
-            matrix: MnaMatrix::auto(n_unknowns.max(1)),
+            matrix: SparseMatrix::zeros(n_unknowns),
             factorization: None,
             rhs: vec![0.0; n_unknowns],
             row_abs: vec![0.0; n_unknowns],
@@ -168,7 +171,6 @@ impl DcGridSolver {
             node_v: vec![0.0; n_nodes],
             branch_i: vec![0.0; n_branches],
             solves: 0,
-            residual_warn: DEFAULT_RESIDUAL_WARN,
             last_residual: None,
         })
     }
@@ -189,16 +191,18 @@ impl DcGridSolver {
     /// branch order as passed to [`DcGridSolver::new`].
     ///
     /// The first call factors the reduced matrix; later calls restamp
-    /// and [`MnaFactorization::refactor`], reusing the symbolic
-    /// structure. Results land in [`DcGridSolver::node_voltages`] and
-    /// [`DcGridSolver::branch_currents`].
+    /// and [`CholeskyFactorization::refactor`], reusing the ordering and
+    /// symbolic structure. Results land in [`DcGridSolver::node_voltages`]
+    /// and [`DcGridSolver::branch_currents`].
     ///
     /// # Errors
     ///
     /// Returns [`CircuitError::InvalidDevice`] on a conductance-count
     /// mismatch or a non-positive/non-finite conductance, and
     /// [`CircuitError::Singular`] when the stamped system cannot be
-    /// factored.
+    /// factored: an LDLᵀ pivot came out zero (or tiny), which on this
+    /// symmetric, diagonally dominant matrix means it is singular or
+    /// numerically so, as with a floating island at `gmin = 0`.
     pub fn solve(&mut self, branch_conductance: &[f64]) -> Result<(), CircuitError> {
         if branch_conductance.len() != self.branches.len() {
             return Err(CircuitError::InvalidDevice {
@@ -265,10 +269,22 @@ impl DcGridSolver {
             // A failed (re)factorization is dropped rather than kept in a
             // half-overwritten state.
             let factored = match self.factorization.take() {
-                Some(mut f) => f.refactor(&self.matrix).map(|()| f),
-                None => self.matrix.factor(),
+                Some(mut f) => {
+                    metrics::counter("solver.refactor").inc();
+                    let _r = trace::span("solver.refactor_time");
+                    f.refactor(&self.matrix).map(|()| f)
+                }
+                None => {
+                    metrics::counter("solver.factor").inc();
+                    let _f = trace::span("solver.factor_time");
+                    self.matrix.factor_cholesky()
+                }
             };
-            let f = self.factorization.insert(factored?);
+            let f = self.factorization.insert(factored.map_err(|e| match e {
+                CircuitError::NotPositiveDefinite { row } => CircuitError::Singular { row },
+                e => e,
+            })?);
+            metrics::gauge(health::names::CHOL_MIN_PIVOT).set(f.min_pivot());
             f.solve_into(&self.rhs, &mut self.reduced);
             self.check_residual();
         }
@@ -300,7 +316,7 @@ impl DcGridSolver {
         let rel = if bnorm > 0.0 { err / bnorm } else { err };
         self.last_residual = Some(rel);
         metrics::gauge(health::names::RESIDUAL_REL).set(rel);
-        if rel.is_nan() || rel > self.residual_warn {
+        if rel.is_nan() || rel > RESIDUAL_WARN {
             metrics::counter(health::names::RESIDUAL_WARN).inc();
             trace::event(
                 Level::Warn,
@@ -308,7 +324,7 @@ impl DcGridSolver {
                 "relative residual exceeds threshold",
                 &[
                     ("residual_rel", FieldValue::F64(rel)),
-                    ("threshold", FieldValue::F64(self.residual_warn)),
+                    ("threshold", FieldValue::F64(RESIDUAL_WARN)),
                     ("unknowns", FieldValue::from(self.n_unknowns)),
                 ],
             );
@@ -321,8 +337,7 @@ impl DcGridSolver {
     /// the total sink magnitude (falling back to the largest branch
     /// current, then to 1 A, so a sink-free grid still gets a sane
     /// scale). Publishes `health.kcl_imbalance_rel` and counts
-    /// `health.kcl_warn` when the imbalance clears the residual-warn
-    /// threshold.
+    /// `health.kcl_warn` when the imbalance clears [`RESIDUAL_WARN`].
     ///
     /// Returns 0.0 before the first solve or when every node is pinned.
     #[must_use]
@@ -351,7 +366,7 @@ impl DcGridSolver {
         }
         let rel = worst / scale;
         metrics::gauge(health::names::KCL_IMBALANCE_REL).set(rel);
-        if rel.is_nan() || rel > self.residual_warn {
+        if rel.is_nan() || rel > RESIDUAL_WARN {
             metrics::counter(health::names::KCL_WARN).inc();
             trace::event(
                 Level::Warn,
@@ -368,9 +383,9 @@ impl DcGridSolver {
 
     /// The condition number κ₁ = κ∞ of the reduced matrix behind the
     /// current voltages: ‖A‖∞ from the stamps times ‖A⁻¹‖∞ = max(y),
-    /// where `A·y = 1` is solved with the factorization in hand (dense
-    /// LU, LDLᵀ or the LU fallback). Exact to rounding because `A` is a
-    /// symmetric M-matrix; `f64::INFINITY` when `y` is not finite.
+    /// where `A·y = 1` is solved with the LDLᵀ in hand. Exact to rounding
+    /// because `A` is a symmetric M-matrix; `f64::INFINITY` when `y` is
+    /// not finite.
     /// Each call costs one solve and records one `health.cond_est`
     /// sample.
     ///
@@ -395,25 +410,6 @@ impl DcGridSolver {
     #[must_use]
     pub fn last_residual_rel(&self) -> Option<f64> {
         self.last_residual
-    }
-
-    /// LU pivot growth of the current factorization (`None` before the
-    /// first solve or on the dense/Cholesky backends — grid stamps are
-    /// SPD, so this reports only after a Cholesky→LU fallback).
-    #[must_use]
-    pub fn pivot_growth(&self) -> Option<f64> {
-        self.factorization
-            .as_ref()
-            .and_then(MnaFactorization::pivot_growth)
-    }
-
-    /// Overrides the relative-residual warn threshold
-    /// ([`DEFAULT_RESIDUAL_WARN`] until set). Non-finite or non-positive
-    /// values are ignored.
-    pub fn set_residual_warn_threshold(&mut self, threshold: f64) {
-        if threshold.is_finite() && threshold > 0.0 {
-            self.residual_warn = threshold;
-        }
     }
 
     /// Per-node voltages from the most recent solve (zeros before any).
@@ -446,21 +442,6 @@ impl DcGridSolver {
     #[must_use]
     pub fn solve_count(&self) -> usize {
         self.solves
-    }
-
-    /// `true` when the reduced matrix uses the sparse backend.
-    #[must_use]
-    pub fn is_sparse(&self) -> bool {
-        self.matrix.is_sparse()
-    }
-
-    /// The solver backend that served the most recent factorization
-    /// (`None` before the first solve). Grid stamps are SPD by
-    /// construction, so this reports [`SolverPath::SparseCholesky`] on
-    /// large grids.
-    #[must_use]
-    pub fn solver_path(&self) -> Option<SolverPath> {
-        self.factorization.as_ref().map(MnaFactorization::path)
     }
 }
 
@@ -523,53 +504,69 @@ mod tests {
     #[test]
     fn restamped_solve_matches_fresh_solver() {
         // Solve a mesh twice with different non-uniform conductances via
-        // restamp+refactor; a fresh solver on the second set must agree
-        // to solver precision.
-        let (rows, cols) = (6, 7);
-        let branches = mesh(rows, cols);
-        let nb = branches.len();
-        let pinned = [(0usize, 1.8f64), (rows * cols - 1, 1.8)];
-        let g1: Vec<f64> = (0..nb).map(|k| 1.0 + 0.1 * (k % 7) as f64).collect();
-        let g2: Vec<f64> = (0..nb).map(|k| 2.0 + 0.05 * (k % 5) as f64).collect();
+        // restamp+refactor; a fresh solver on the second set must give
+        // the same bits, since the refactor replays the fresh factor's
+        // arithmetic. 6×7 (40 unknowns) and 15×15 (223) sit on both
+        // sides of the general-MNA dense/sparse crossover, which the
+        // grid does not use.
+        for (rows, cols) in [(6, 7), (15, 15)] {
+            let branches = mesh(rows, cols);
+            let nb = branches.len();
+            let pinned = [(0usize, 1.8f64), (rows * cols - 1, 1.8)];
+            let g1: Vec<f64> = (0..nb).map(|k| 1.0 + 0.1 * (k % 7) as f64).collect();
+            let g2: Vec<f64> = (0..nb).map(|k| 2.0 + 0.05 * (k % 5) as f64).collect();
+            let solver = || {
+                let mut s =
+                    DcGridSolver::new(rows * cols, branches.clone(), &pinned, 1e-12).unwrap();
+                for node in 0..rows * cols {
+                    s.set_sink(node, 1e-3);
+                }
+                s
+            };
 
-        let mut reused = DcGridSolver::new(rows * cols, branches.clone(), &pinned, 1e-12).unwrap();
-        for node in 0..rows * cols {
-            reused.set_sink(node, 1e-3);
-        }
-        reused.solve(&g1).unwrap();
-        reused.solve(&g2).unwrap();
-        assert_eq!(reused.solve_count(), 2);
+            let mut reused = solver();
+            reused.solve(&g1).unwrap();
+            reused.solve(&g2).unwrap();
+            assert_eq!(reused.solve_count(), 2);
+            let mut fresh = solver();
+            fresh.solve(&g2).unwrap();
 
-        let mut fresh = DcGridSolver::new(rows * cols, branches, &pinned, 1e-12).unwrap();
-        for node in 0..rows * cols {
-            fresh.set_sink(node, 1e-3);
-        }
-        fresh.solve(&g2).unwrap();
-
-        for (a, b) in reused.node_voltages().iter().zip(fresh.node_voltages()) {
-            assert!((a - b).abs() < 1e-10, "restamped {a} vs fresh {b}");
-        }
-        for (a, b) in reused.branch_currents().iter().zip(fresh.branch_currents()) {
-            assert!((a - b).abs() < 1e-10);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(reused.node_voltages()),
+                bits(fresh.node_voltages()),
+                "{rows}x{cols}"
+            );
+            assert_eq!(
+                bits(reused.branch_currents()),
+                bits(fresh.branch_currents()),
+                "{rows}x{cols}"
+            );
+            let worst = fresh
+                .node_voltages()
+                .iter()
+                .fold(f64::INFINITY, |m, &v| m.min(v));
+            assert!(worst < 1.8 && worst > 0.0, "droop exists but is bounded");
         }
     }
 
     #[test]
-    fn sparse_backend_engages_on_large_grids() {
-        let (rows, cols) = (15, 15); // 225 unknowns > SPARSE_THRESHOLD
-        let branches = mesh(rows, cols);
-        let nb = branches.len();
-        let mut s = DcGridSolver::new(rows * cols, branches, &[(0, 1.0)], 1e-12).unwrap();
-        assert!(s.is_sparse());
-        for node in 0..rows * cols {
-            s.set_sink(node, 1e-4);
+    fn a_floating_island_is_singular() {
+        // Node 0 is the pad and feeds a chain of `tail` free nodes; the
+        // last two nodes form an island joined by a unit conductance and
+        // reach nothing else. With no gmin leak the island's second LDLᵀ
+        // pivot is 1 − 1 = 0 exactly.
+        for tail in [1, 126] {
+            let n = tail + 3;
+            let mut branches: Vec<_> = (0..tail).map(|k| (k, k + 1)).collect();
+            branches.push((n - 2, n - 1));
+            let mut s = DcGridSolver::new(n, branches, &[(0, 1.0)], 0.0).unwrap();
+            assert_eq!(s.unknown_count(), tail + 2);
+            let g = vec![1.0; tail + 1];
+            assert!(matches!(s.solve(&g), Err(CircuitError::Singular { .. })));
+            assert_eq!(s.condition_number(), None, "{} free nodes", tail + 2);
+            assert_eq!(s.solve_count(), 0);
         }
-        s.solve(&vec![2.0; nb]).unwrap();
-        let worst = s
-            .node_voltages()
-            .iter()
-            .fold(f64::INFINITY, |m, &v| m.min(v));
-        assert!(worst < 1.0 && worst > 0.0, "droop exists but is bounded");
     }
 
     #[test]
@@ -612,7 +609,6 @@ mod tests {
         let mut s = DcGridSolver::new(3, vec![(0, 1), (1, 2)], &[(0, 1.0)], 0.0).unwrap();
         assert_eq!(s.condition_number(), None, "nothing factored yet");
         s.solve(&[1.0, 1.0]).unwrap();
-        assert!(!s.is_sparse());
         let kappa = s.condition_number().unwrap();
         assert!((kappa - 9.0).abs() < 1e-12, "κ = {kappa}");
         // Weakening the tail link spreads the spectrum: κ follows the
@@ -625,22 +621,11 @@ mod tests {
     fn a_failed_refactor_leaves_no_condition_number() {
         let mut s = DcGridSolver::new(3, vec![(0, 1), (1, 2)], &[(0, 1.0)], 0.0).unwrap();
         s.solve(&[1.0, 1.0]).unwrap();
-        // Subnormal conductances underflow the dense LU's pivot test.
+        // Subnormal conductances underflow the LDLᵀ's pivot test.
         assert!(s.solve(&[1e-310, 1e-310]).is_err());
         assert_eq!(s.condition_number(), None);
         s.solve(&[2.0, 2.0]).unwrap();
         assert!(s.condition_number().is_some_and(f64::is_finite));
-    }
-
-    #[test]
-    fn residual_threshold_setter_ignores_garbage() {
-        let mut s = DcGridSolver::new(2, vec![(0, 1)], &[(0, 1.0)], 0.0).unwrap();
-        s.set_residual_warn_threshold(f64::NAN);
-        s.set_residual_warn_threshold(-1.0);
-        s.set_residual_warn_threshold(0.0);
-        assert!((s.residual_warn - DEFAULT_RESIDUAL_WARN).abs() < 1e-30);
-        s.set_residual_warn_threshold(1e-6);
-        assert!((s.residual_warn - 1e-6).abs() < 1e-30);
     }
 
     #[test]

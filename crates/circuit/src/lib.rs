@@ -9,7 +9,10 @@
 //!
 //! * [`linalg`] — dense LU with partial pivoting; [`sparse`] — sparse
 //!   LU (Gilbert–Peierls) with factorization reuse; [`solver`] — the
-//!   automatic dense/sparse crossover both assembly paths stamp into.
+//!   dense/sparse LU crossover general MNA assembly stamps into.
+//! * [`cholesky`] — the AMD-ordered ([`ordering`]) supernodal LDLᵀ that
+//!   [`grid_dc`] factors every reduced DC power grid with, behind
+//!   [`power_grid`] and the coupled signoff.
 //! * [`netlist`] — R/C/V/I devices plus a level-1 MOSFET and a CMOS
 //!   inverter macro; [`sources`] provides DC/pulse/PWL waveforms.
 //! * [`transient`] — MNA assembly, Newton iteration, and

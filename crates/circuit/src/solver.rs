@@ -1,56 +1,24 @@
-//! Automatic dense/sparse solver selection for MNA systems.
+//! Dense/sparse LU selection for general MNA systems.
 //!
 //! Small systems (repeater testbenches, short RC ladders) are fastest
 //! through the cache-friendly dense LU in [`crate::linalg`]; large ones
-//! (power grids, long distributed lines) through the sparse backends,
-//! whose factor cost grows far slower than O(n³). [`MnaMatrix::auto`]
-//! picks dense vs sparse by unknown count at [`SPARSE_THRESHOLD`]; the
-//! sparse arm then routes SPD stamps (symmetric, positive diagonal —
-//! every power-grid and thermal-map matrix) to the AMD-ordered LDLᵀ in
-//! [`crate::cholesky`] and everything else to the pivoting LU in
-//! [`crate::sparse`], falling back to LU automatically when an LDLᵀ
-//! pivot fails. All backends expose the same stamping and
-//! factor-once/solve-many surface so assembly code is
-//! representation-agnostic; [`MnaFactorization::path`] reports which
-//! backend actually served a factorization.
+//! (long distributed lines, full-MNA grids) through the pivoting sparse
+//! LU in [`crate::sparse`], whose factor cost grows far slower than
+//! O(n³). [`MnaMatrix::auto`] picks by unknown count at
+//! [`SPARSE_THRESHOLD`]. Both backends expose the same stamping and
+//! factor-once/solve-many surface, so assembly code is
+//! representation-agnostic.
+//!
+//! Voltage-source branch rows and MOSFET stamps make general MNA
+//! matrices unsymmetric or indefinite, so nothing here tries an LDLᵀ.
+//! The one SPD class hotwire solves, the reduced DC grid, factors
+//! through [`crate::cholesky`] itself ([`crate::grid_dc`]).
 
-use crate::cholesky::CholeskyFactorization;
 use crate::linalg::Matrix;
 use crate::sparse::{Factorization as SparseFactorization, SparseMatrix};
 use crate::CircuitError;
 use hotwire_obs::health;
 use hotwire_obs::metrics;
-
-/// Which concrete backend served a factorization — reported by
-/// [`MnaFactorization::path`] and recorded in the bench baselines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SolverPath {
-    /// Dense LU ([`crate::linalg`]).
-    Dense,
-    /// Sparse Gilbert–Peierls LU with partial pivoting
-    /// ([`crate::sparse`]).
-    SparseLu,
-    /// Sparse AMD-ordered LDLᵀ ([`crate::cholesky`]).
-    SparseCholesky,
-}
-
-impl SolverPath {
-    /// Stable lowercase label (used in bench JSON and logs).
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            Self::Dense => "dense",
-            Self::SparseLu => "lu",
-            Self::SparseCholesky => "cholesky",
-        }
-    }
-}
-
-impl std::fmt::Display for SolverPath {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
 
 /// Unknown count at and above which [`MnaMatrix::auto`] picks the sparse
 /// backend.
@@ -138,13 +106,12 @@ impl MnaMatrix {
     pub fn factor(&self) -> Result<MnaFactorization, CircuitError> {
         metrics::counter("solver.factor").inc();
         let _t = hotwire_obs::trace::span("solver.factor_time");
-        self.factor_dispatch(false)
+        self.factor_lu()
     }
 
-    /// Backend dispatch shared by [`MnaMatrix::factor`] and the
-    /// refactor fallback (which must not double-increment
-    /// `solver.factor`); `force_lu` keeps an LU factorization on LU.
-    fn factor_dispatch(&self, force_lu: bool) -> Result<MnaFactorization, CircuitError> {
+    /// The LU of [`MnaMatrix::factor`], shared with the refactor
+    /// fallback (which must not double-increment `solver.factor`).
+    fn factor_lu(&self) -> Result<MnaFactorization, CircuitError> {
         match self {
             Self::Dense(m) => {
                 let mut lu = m.clone();
@@ -152,22 +119,8 @@ impl MnaMatrix {
                 Ok(MnaFactorization::Dense(lu))
             }
             Self::Sparse(m) => {
-                // SPD fast path: symmetric stamps with a positive
-                // diagonal go through AMD + LDLᵀ; anything else — and
-                // any LDLᵀ pivot failure — falls back to pivoting LU.
-                if !force_lu {
-                    match m.factor_cholesky() {
-                        Ok(f) => {
-                            metrics::gauge(health::names::CHOL_MIN_PIVOT).set(f.min_pivot());
-                            return Ok(MnaFactorization::SparseCholesky(f));
-                        }
-                        Err(_) => metrics::counter("solver.chol.fallback").inc(),
-                    }
-                }
                 let f = m.factor()?;
-                #[allow(clippy::cast_precision_loss)]
-                metrics::gauge("solver.sparse.fill_nnz").set(f.nnz() as f64);
-                metrics::gauge(health::names::PIVOT_GROWTH).set(f.pivot_growth());
+                publish_lu_health(&f);
                 Ok(MnaFactorization::Sparse(f))
             }
         }
@@ -198,6 +151,14 @@ impl MnaMatrix {
     }
 }
 
+/// Publishes the fill and pivot growth of a sparse LU after each factor
+/// or in-place refactor.
+fn publish_lu_health(f: &SparseFactorization) {
+    #[allow(clippy::cast_precision_loss)]
+    metrics::gauge("solver.sparse.fill_nnz").set(f.nnz() as f64);
+    metrics::gauge(health::names::PIVOT_GROWTH).set(f.pivot_growth());
+}
+
 /// A reusable factorization of an [`MnaMatrix`]: solve any number of
 /// right-hand sides, or [`MnaFactorization::refactor`] from same-pattern
 /// values (Newton iterations) without redoing symbolic work.
@@ -207,21 +168,9 @@ pub enum MnaFactorization {
     Dense(Matrix),
     /// Sparse LU factors.
     Sparse(SparseFactorization),
-    /// Sparse LDLᵀ factors (the SPD fast path).
-    SparseCholesky(CholeskyFactorization),
 }
 
 impl MnaFactorization {
-    /// The backend that served this factorization.
-    #[must_use]
-    pub fn path(&self) -> SolverPath {
-        match self {
-            Self::Dense(_) => SolverPath::Dense,
-            Self::Sparse(_) => SolverPath::SparseLu,
-            Self::SparseCholesky(_) => SolverPath::SparseCholesky,
-        }
-    }
-
     /// Solves `A·x = b`.
     ///
     /// # Panics
@@ -243,19 +192,6 @@ impl MnaFactorization {
         match self {
             Self::Dense(lu) => lu.solve_factored_into(b, x),
             Self::Sparse(f) => f.solve_into(b, x),
-            Self::SparseCholesky(f) => f.solve_into(b, x),
-        }
-    }
-
-    /// LU pivot-growth factor `max|U| / max|A|` of the stored factors —
-    /// a large value signals element growth eating precision. `None`
-    /// on the dense and Cholesky backends (Cholesky health is tracked
-    /// through its smallest pivot instead).
-    #[must_use]
-    pub fn pivot_growth(&self) -> Option<f64> {
-        match self {
-            Self::Sparse(f) => Some(f.pivot_growth()),
-            Self::Dense(_) | Self::SparseCholesky(_) => None,
         }
     }
 
@@ -288,16 +224,7 @@ impl MnaFactorization {
             (Self::Sparse(f), MnaMatrix::Sparse(m)) => {
                 let ok = f.refactor(m).is_ok();
                 if ok {
-                    #[allow(clippy::cast_precision_loss)]
-                    metrics::gauge("solver.sparse.fill_nnz").set(f.nnz() as f64);
-                    metrics::gauge(health::names::PIVOT_GROWTH).set(f.pivot_growth());
-                }
-                ok
-            }
-            (Self::SparseCholesky(f), MnaMatrix::Sparse(m)) => {
-                let ok = f.refactor(m).is_ok();
-                if ok {
-                    metrics::gauge(health::names::CHOL_MIN_PIVOT).set(f.min_pivot());
+                    publish_lu_health(f);
                 }
                 ok
             }
@@ -306,14 +233,10 @@ impl MnaFactorization {
             _ => false,
         };
         if !in_place_ok {
-            // Pivot order (LU) or definiteness (LDLᵀ) went stale for the
-            // new values, or the backend changed; re-dispatch from
-            // scratch. A Cholesky backend may come back as LU (values no
-            // longer SPD); an LU backend stays LU — dispatch chose it for
-            // a non-SPD candidate or after a pivot failure.
+            // The pivot order went stale for the new values, or the
+            // backend changed: factor from scratch.
             metrics::counter("solver.refactor_fallback").inc();
-            let keep_lu = matches!(&*self, Self::Sparse(_));
-            *self = matrix.factor_dispatch(keep_lu)?;
+            *self = matrix.factor_lu()?;
         }
         Ok(())
     }
@@ -392,7 +315,7 @@ mod tests {
             stamp_test_system(&mut second);
             let mut f = first.factor().unwrap();
             f.refactor(&second).unwrap();
-            assert_eq!(f.path(), second.factor().unwrap().path());
+            assert_eq!(matches!(f, MnaFactorization::Sparse(_)), second.is_sparse());
             let fresh = second.solve(&b).unwrap();
             for (a, b) in f.solve(&b).iter().zip(&fresh) {
                 assert!((a - b).abs() < 1e-12, "refactored {a} vs fresh {b}");

@@ -3,13 +3,12 @@
 //! ([`hotwire_circuit::linalg::Matrix`]) of random SPD systems whose
 //! patterns give many supernode shapes, dense boolean elimination for
 //! the symbolic pattern, and the error paths. Also agreement with the
-//! sparse LU and the backend dispatch (SPD → LDLᵀ, anything else → LU).
+//! sparse LU.
 //!
 //! `PROPTEST_CASES` sets the number of random cases per property
 //! (default 24).
 
 use hotwire_circuit::linalg::Matrix;
-use hotwire_circuit::solver::{MnaMatrix, SolverPath};
 use hotwire_circuit::sparse::SparseMatrix;
 use hotwire_circuit::CircuitError;
 use proptest::prelude::*;
@@ -98,82 +97,6 @@ proptest! {
                 "node {k}: cholesky {a} vs lu {r} (scale {scale})"
             );
         }
-    }
-
-    /// Breaking symmetry (or definiteness) on an otherwise-SPD stamp
-    /// must route the `MnaMatrix` dispatch to sparse LU, and the LU
-    /// answer must still satisfy the system.
-    #[test]
-    fn non_spd_stamps_fall_back_to_lu(
-        rows in 6_usize..14,
-        cols in 6_usize..14,
-        seed in 0_u64..u64::MAX,
-        flip_sign in any::<bool>(),
-    ) {
-        let n = rows * cols;
-        let mut m = MnaMatrix::sparse(n);
-        stamp_grid_into(&mut m, rows, cols, &mut Mix(seed));
-        if flip_sign {
-            // Kill a diagonal: subtract more than the dominant entry.
-            m.add(0, 0, -1.0e6);
-        } else {
-            // Break symmetry.
-            m.add(0, 1, 17.0);
-        }
-        let f = m.factor().expect("LU fallback still factors");
-        prop_assert_eq!(f.path(), SolverPath::SparseLu);
-        let b = random_rhs(n, &mut Mix(seed ^ 0xabcd));
-        let x = f.solve(&b);
-        prop_assert!(x.iter().all(|v| v.is_finite()));
-    }
-}
-
-/// Stamps the same random grid as [`random_spd_grid`] into an
-/// [`MnaMatrix`], consuming the `Mix` stream identically.
-fn stamp_grid_into(m: &mut MnaMatrix, rows: usize, cols: usize, mix: &mut Mix) {
-    let branch = |m: &mut MnaMatrix, a: usize, b: usize, g: f64| {
-        m.add(a, a, g);
-        m.add(b, b, g);
-        m.add(a, b, -g);
-        m.add(b, a, -g);
-    };
-    for r in 0..rows {
-        for c in 0..cols {
-            let here = r * cols + c;
-            if c + 1 < cols {
-                branch(m, here, here + 1, mix.in_range(0.1, 10.0));
-            }
-            if r + 1 < rows {
-                branch(m, here, here + cols, mix.in_range(0.1, 10.0));
-            }
-            m.add(here, here, mix.in_range(1.0e-3, 1.0));
-        }
-    }
-}
-
-/// The dispatch-side positive control: the SPD stamp itself must come
-/// back on the Cholesky path (the fallback test above only proves the
-/// negative direction).
-#[test]
-fn spd_stamps_take_the_cholesky_path() {
-    let (rows, cols) = (12, 13);
-    let n = rows * cols;
-    let mut m = MnaMatrix::sparse(n);
-    stamp_grid_into(&mut m, rows, cols, &mut Mix(42));
-    let f = m.factor().expect("SPD stamp factors");
-    assert_eq!(f.path(), SolverPath::SparseCholesky);
-    // And the residual closes: rebuild the same matrix as SparseMatrix.
-    let mut mix = Mix(42);
-    let a = random_spd_grid(rows, cols, &mut mix);
-    let b = random_rhs(n, &mut mix);
-    let x = f.solve(&b);
-    let ax = a.mul_vec(&x);
-    let scale = b.iter().fold(1.0_f64, |s, &v| s.max(v.abs()));
-    for (k, (&lhs, &rhs)) in ax.iter().zip(&b).enumerate() {
-        assert!(
-            (lhs - rhs).abs() < 1.0e-9 * scale,
-            "residual at node {k}: {lhs} vs {rhs}"
-        );
     }
 }
 
@@ -441,10 +364,6 @@ fn indefinite_values_are_not_positive_definite() {
     let net = chain(40);
     let base = net.stamps(&[], &mut Mix(11));
     let bad = sparse_of(40, &indefinite(&base));
-    assert!(
-        bad.is_spd_candidate(),
-        "the screen cannot see indefiniteness"
-    );
     assert!(matches!(
         bad.factor_cholesky(),
         Err(CircuitError::NotPositiveDefinite { .. })
@@ -454,34 +373,4 @@ fn indefinite_values_are_not_positive_definite() {
         f.refactor(&bad),
         Err(CircuitError::NotPositiveDefinite { .. })
     ));
-}
-
-#[test]
-fn mna_refactor_recovers_from_both_errors_by_redispatching() {
-    let n = 40;
-    let net = chain(n);
-    let base = net.stamps(&[], &mut Mix(13));
-    let mna = |stamps: &[(usize, usize, f64)]| {
-        let mut m = MnaMatrix::sparse(n);
-        for &(r, c, v) in stamps {
-            m.add(r, c, v);
-        }
-        m
-    };
-    let b = random_rhs(n, &mut Mix(17));
-    let mut f = mna(&base).factor().unwrap();
-    assert_eq!(f.path(), SolverPath::SparseCholesky);
-
-    // Drifted pattern: the in-place refactor fails, a fresh LDLᵀ serves.
-    let mut drifted = base.clone();
-    drifted.extend([(0, 0, 1.0), (39, 39, 1.0), (0, 39, -1.0), (39, 0, -1.0)]);
-    f.refactor(&mna(&drifted)).unwrap();
-    assert_eq!(f.path(), SolverPath::SparseCholesky);
-    assert!(rel_diff(&f.solve(&b), &dense_solve(n, &drifted, &b)) <= 1e-10);
-
-    // Indefinite values: no LDLᵀ exists, the pivoting LU serves.
-    let bad = indefinite(&drifted);
-    f.refactor(&mna(&bad)).unwrap();
-    assert_eq!(f.path(), SolverPath::SparseLu);
-    assert!(rel_diff(&f.solve(&b), &dense_solve(n, &bad, &b)) <= 1e-10);
 }

@@ -27,7 +27,6 @@
 //! [`CoupledError::BeyondResistivityRange`].
 
 use hotwire_circuit::grid_dc::DcGridSolver;
-use hotwire_circuit::solver::SolverPath;
 use hotwire_circuit::transient::TransientOptions;
 use hotwire_core::signoff::{GoverningRule, NetVerdict};
 use hotwire_em::blech::BlechModel;
@@ -827,7 +826,6 @@ impl CoupledEngine {
             condition_estimate: self.solver.condition_number(),
             residual_rel: self.solver.last_residual_rel(),
             kcl_imbalance_rel: kcl,
-            pivot_growth: self.solver.pivot_growth(),
         }
     }
 
@@ -918,14 +916,6 @@ impl CoupledEngine {
     #[must_use]
     pub fn unknown_count(&self) -> usize {
         self.solver.unknown_count()
-    }
-
-    /// Which linear-solver backend served the electrical solves, or
-    /// `None` before the first factorization. SPD grid stamps route to
-    /// sparse Cholesky; everything else takes LU.
-    #[must_use]
-    pub fn solver_path(&self) -> Option<SolverPath> {
-        self.solver.solver_path()
     }
 
     /// Evaluates the per-branch EM stage on the converged state and

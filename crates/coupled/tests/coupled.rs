@@ -8,7 +8,6 @@
 //! property (24 by default).
 
 use hotwire_circuit::power_grid::{PowerGrid, PowerGridSpec};
-use hotwire_circuit::solver::SolverPath;
 use hotwire_circuit::transient::{simulate, TransientOptions};
 use hotwire_core::SelfConsistentProblem;
 use hotwire_coupled::{
@@ -97,11 +96,12 @@ fn single_wire_fixed_point_matches_eq13() {
 /// resistivity. Its worst IR drop must match one 1 ns transient step
 /// over the full MNA system of the same grid, a different formulation:
 /// the pads are driven through voltage-source branches instead of being
-/// eliminated. 10×10 has 96 unknowns (dense LU); 16×16 has 252, above
-/// `SPARSE_THRESHOLD`, so the engine factors through the LDLᵀ.
+/// eliminated. The engine factors its 96 (10×10) and 252 (16×16)
+/// unknowns through the grid's LDLᵀ; the full-MNA step takes the general
+/// LU, dense at 10×10 and sparse at 16×16.
 #[test]
 fn light_load_drop_matches_a_full_mna_transient_step() {
-    for (n, path) in [(10, SolverPath::Dense), (16, SolverPath::SparseCholesky)] {
+    for n in [10, 16] {
         let spec = CoupledGridSpec {
             sink_per_node: Current::from_milliamps(0.01),
             ..CoupledGridSpec::demo(n, n)
@@ -134,7 +134,6 @@ fn light_load_drop_matches_a_full_mna_transient_step() {
 
         let mut engine = CoupledEngine::new(spec.clone(), CoupledOptions::default()).unwrap();
         engine.run().unwrap();
-        assert_eq!(engine.solver_path(), Some(path), "{n}x{n}");
         let coupled = spec.vdd.value()
             - engine
                 .node_voltages()

@@ -193,9 +193,6 @@ pub struct HealthReport {
     /// KCL current-conservation audit: worst per-node current
     /// imbalance relative to the total load current.
     pub kcl_imbalance_rel: Option<f64>,
-    /// LU pivot-growth factor max|U| / max|A| of the electrical
-    /// factorization, when the LU served it.
-    pub pivot_growth: Option<f64>,
 }
 
 impl HealthReport {
@@ -219,11 +216,12 @@ impl HealthReport {
             ("condition_estimate", opt(self.condition_estimate)),
             ("residual_rel", opt(self.residual_rel)),
             ("kcl_imbalance_rel", opt(self.kcl_imbalance_rel)),
-            ("pivot_growth", opt(self.pivot_growth)),
         ])
     }
 
-    /// Rebuilds a report from [`HealthReport::to_json`] output.
+    /// Rebuilds a report from [`HealthReport::to_json`] output. Keys it
+    /// does not know are ignored, so bundles that still carry the
+    /// retired `pivot_growth` read as before.
     ///
     /// # Errors
     ///
@@ -255,7 +253,6 @@ impl HealthReport {
             condition_estimate: opt("condition_estimate"),
             residual_rel: opt("residual_rel"),
             kcl_imbalance_rel: opt("kcl_imbalance_rel"),
-            pivot_growth: opt("pivot_growth"),
         })
     }
 }
@@ -277,9 +274,10 @@ pub mod names {
     pub const KCL_IMBALANCE_REL: &str = "health.kcl_imbalance_rel";
     /// Counter: KCL audits that exceeded the warn threshold.
     pub const KCL_WARN: &str = "health.kcl_warn";
-    /// Gauge: LU pivot growth max|U|/max|A| of the last factorization.
+    /// Gauge: LU pivot growth max|U|/max|A| of the last sparse-LU
+    /// factorization of a general MNA system.
     pub const PIVOT_GROWTH: &str = "health.pivot_growth";
-    /// Gauge: smallest |LDLᵀ pivot| of the last Cholesky factorization.
+    /// Gauge: smallest |LDLᵀ pivot| of the last DC-grid factorization.
     pub const CHOL_MIN_PIVOT: &str = "health.chol_min_pivot";
     /// Gauge: fitted Picard contraction factor.
     pub const PICARD_CONTRACTION: &str = "health.picard.contraction";
@@ -363,7 +361,6 @@ mod tests {
             condition_estimate: Some(1.8e6),
             residual_rel: Some(4.4e-13),
             kcl_imbalance_rel: None,
-            pivot_growth: Some(1.9),
         };
         let text = report.to_json().to_pretty_string();
         let back = HealthReport::from_json(&crate::json::parse(&text).unwrap()).unwrap();

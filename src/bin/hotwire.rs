@@ -1488,7 +1488,6 @@ fn cmd_doctor(args: &[String]) -> Result<(), CliError> {
         println!("  cond number:   {}", opt(h.condition_estimate));
         println!("  residual:      {}", opt(h.residual_rel));
         println!("  kcl imbalance: {}", opt(h.kcl_imbalance_rel));
-        println!("  pivot growth:  {}", opt(h.pivot_growth));
     }
 
     if !events.is_empty() {
@@ -1515,7 +1514,6 @@ fn cmd_doctor(args: &[String]) -> Result<(), CliError> {
         .any(|e| e.get("kind").and_then(Json::as_str) == Some("coupled.beyond_range"));
     let ill_conditioned = health.as_ref().is_some_and(|h| {
         h.condition_estimate.is_some_and(|k| k > 1e12)
-            || h.pivot_growth.is_some_and(|g| g > 1e8)
             || h.residual_rel.is_some_and(|r| r.is_nan() || r > 1e-6)
     });
     let (diagnosis, hints): (&str, Vec<String>) = if class == Some(ConvergenceClass::Diverging) {
@@ -1548,8 +1546,8 @@ fn cmd_doctor(args: &[String]) -> Result<(), CliError> {
         (
             "ill-conditioned",
             vec![
-                "the electrical system is near-singular: the condition number, \
-                 pivot growth, or post-solve residual is far beyond healthy"
+                "the electrical system is near-singular: the condition number \
+                 or the post-solve residual is far beyond healthy"
                     .into(),
                 "grid is near-singular: check for floating nodes (sinks with no \
                  path to a pad) and zero-width straps"

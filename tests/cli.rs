@@ -929,22 +929,30 @@ fn doctor_rejects_bad_invocations() {
 fn doctor_flags_an_ill_conditioned_bundle() {
     let dir = std::env::temp_dir().join(format!("hotwire-illcond-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    for (kappa, ill) in [(1e14, true), (1e3, false)] {
-        let path = dir.join(format!("kappa-{kappa:e}.json"));
+    // The last bundle was written before the health block lost its
+    // `pivot_growth` key: it still parses, and the key no longer makes a
+    // verdict.
+    for (kappa, extra, ill) in [
+        (1e14, "", true),
+        (1e3, "", false),
+        (1e3, ", \"pivot_growth\": 1e9", false),
+    ] {
+        let path = dir.join(format!("kappa-{kappa:e}-{}.json", extra.len()));
         let bundle = format!(
             "{{\"schema\": \"hotwire.bundle/v1\", \"reason\": \"error\", \
              \"detail\": \"synthetic\", \"health\": {{\"class\": \"converging\", \
              \"contraction\": 0.5, \"iterations\": 4, \"last_delta\": 1e-3, \
-             \"tolerance\": 0.05, \"condition_estimate\": {kappa:e}}}}}\n"
+             \"tolerance\": 0.05, \"condition_estimate\": {kappa:e}{extra}}}}}\n"
         );
         std::fs::write(&path, bundle).unwrap();
         let (ok, stdout, stderr) = hotwire(&["doctor", path.to_str().unwrap()]);
         assert!(ok, "{stderr}");
         assert!(stdout.contains("numerical health:"), "{stdout}");
+        assert!(!stdout.contains("pivot growth"), "{stdout}");
         assert_eq!(
             stdout.contains("diagnosis: ill-conditioned"),
             ill,
-            "κ {kappa:e}: {stdout}"
+            "κ {kappa:e}{extra}: {stdout}"
         );
     }
     std::fs::remove_dir_all(&dir).ok();

@@ -4,8 +4,7 @@
 //!
 //! * [`DcGridSolver::condition_number`] (one solve `A·y = 1`, then
 //!   ‖A‖∞·max y) equals ‖A‖₁·‖A⁻¹‖₁ of an independently assembled dense
-//!   matrix inverted column by column, on both the dense and the LDLᵀ
-//!   backend;
+//!   matrix inverted column by column;
 //! * the voltage drops against the unloaded solve obey superposition,
 //!   reciprocity and inverse-positivity;
 //! * a [`ChipThermalModel`] fed the solve's Joule power sends exactly
@@ -20,7 +19,6 @@
 
 use hotwire_circuit::grid_dc::DcGridSolver;
 use hotwire_circuit::linalg::Matrix;
-use hotwire_circuit::solver::{SolverPath, SPARSE_THRESHOLD};
 use hotwire_thermal::chip::ChipThermalModel;
 use proptest::prelude::*;
 
@@ -205,21 +203,12 @@ fn assert_kappa_matches(kappa: f64, exact: f64) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// The backend `DcGridSolver` must pick for `unknowns` free nodes.
-fn expected_path(unknowns: usize) -> SolverPath {
-    if unknowns >= SPARSE_THRESHOLD {
-        SolverPath::SparseCholesky
-    } else {
-        SolverPath::Dense
-    }
-}
-
 const GMINS: [f64; 4] = [1e-12, 1e-9, 1e-6, 1e-3];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
 
-    /// The one-solve κ matches the dense-inverse κ₁ on both backends.
+    /// The one-solve κ matches the dense-inverse κ₁.
     #[test]
     fn condition_number_matches_the_dense_inverse(
         rows in 2_usize..17,
@@ -231,10 +220,6 @@ proptest! {
         let grid = Grid::random(rows, cols, GMINS[gmin], weak, &mut Mix(seed));
         let mut solver = grid.solver();
         solver.solve(&grid.g).expect("random grids solve");
-        prop_assert_eq!(
-            solver.solver_path(),
-            Some(expected_path(solver.unknown_count()))
-        );
         let kappa = solver.condition_number().expect("free nodes exist");
         assert_kappa_matches(kappa, dense_kappa_1(&grid.dense()))?;
     }
@@ -391,7 +376,7 @@ proptest! {
 }
 
 /// A diagonal reduced matrix — every free node tied to the pad alone, no
-/// leak — has κ = max g / min g exactly, on either backend.
+/// leak — has κ = max g / min g exactly, at any size.
 #[test]
 fn diagonal_condition_number_is_the_conductance_spread() {
     for free in [3, 200] {
@@ -399,7 +384,6 @@ fn diagonal_condition_number_is_the_conductance_spread() {
         let g: Vec<f64> = (1..=free).map(|k| 0.5 + (k % 7) as f64).collect();
         let mut solver = DcGridSolver::new(free + 1, branches, &[(0, VDD)], 0.0).unwrap();
         solver.solve(&g).unwrap();
-        assert_eq!(solver.solver_path(), Some(expected_path(free)));
         let (max, min) = g.iter().fold((0.0_f64, f64::INFINITY), |(hi, lo), &v| {
             (hi.max(v), lo.min(v))
         });
