@@ -201,8 +201,8 @@ impl CholeskyFactorization {
         &self.d
     }
 
-    /// Smallest |dₖ| of the LDLᵀ diagonal — the SPD path's pivot-health
-    /// analog: a collapse toward zero means the grid is drifting toward
+    /// Smallest |dₖ| of the LDLᵀ diagonal, the grid's pivot-health
+    /// gauge: a collapse toward zero means the grid is drifting toward
     /// singular (floating nodes, vanishing conductances).
     #[must_use]
     pub fn min_pivot(&self) -> f64 {
@@ -212,7 +212,8 @@ impl CholeskyFactorization {
     /// Recomputes the numeric factor from a matrix with the **same
     /// sparsity pattern** (same stamping structure): no ordering and no
     /// symbolic work, and no allocation beyond assembling the matrix.
-    /// This is the Picard/Newton fast path on the SPD route.
+    /// [`crate::grid_dc::DcGridSolver`] refactors this way on every
+    /// solve after its first.
     ///
     /// # Errors
     ///
@@ -221,8 +222,11 @@ impl CholeskyFactorization {
     /// has an entry outside the factored pattern. The factor is
     /// overwritten in place, so an error leaves its numeric values
     /// invalid: `D` is filled with NaN, and every solve returns NaN until
-    /// a later refactor succeeds. The symbolic analysis survives. Callers
-    /// should fall back to a fresh factorization in either case.
+    /// a later refactor succeeds. The symbolic analysis survives. The
+    /// ordering depends on the pattern alone, so after
+    /// `NotPositiveDefinite` a fresh factorization of the same values
+    /// fails the same way; only an entry outside the pattern calls for
+    /// one.
     ///
     /// # Panics
     ///

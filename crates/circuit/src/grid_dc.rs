@@ -36,6 +36,7 @@
 //! ```
 
 use crate::cholesky::CholeskyFactorization;
+use crate::solver::{counted_factor, counted_refactor};
 use crate::sparse::SparseMatrix;
 use crate::CircuitError;
 use hotwire_obs::trace::{self, FieldValue, Level};
@@ -269,16 +270,8 @@ impl DcGridSolver {
             // A failed (re)factorization is dropped rather than kept in a
             // half-overwritten state.
             let factored = match self.factorization.take() {
-                Some(mut f) => {
-                    metrics::counter("solver.refactor").inc();
-                    let _r = trace::span("solver.refactor_time");
-                    f.refactor(&self.matrix).map(|()| f)
-                }
-                None => {
-                    metrics::counter("solver.factor").inc();
-                    let _f = trace::span("solver.factor_time");
-                    self.matrix.factor_cholesky()
-                }
+                Some(mut f) => counted_refactor(|| f.refactor(&self.matrix)).map(|()| f),
+                None => counted_factor(|| self.matrix.factor_cholesky()),
             };
             let f = self.factorization.insert(factored.map_err(|e| match e {
                 CircuitError::NotPositiveDefinite { row } => CircuitError::Singular { row },
@@ -506,9 +499,7 @@ mod tests {
         // Solve a mesh twice with different non-uniform conductances via
         // restamp+refactor; a fresh solver on the second set must give
         // the same bits, since the refactor replays the fresh factor's
-        // arithmetic. 6×7 (40 unknowns) and 15×15 (223) sit on both
-        // sides of the general-MNA dense/sparse crossover, which the
-        // grid does not use.
+        // arithmetic.
         for (rows, cols) in [(6, 7), (15, 15)] {
             let branches = mesh(rows, cols);
             let nb = branches.len();

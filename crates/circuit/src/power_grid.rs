@@ -459,19 +459,19 @@ mod tests {
 
     /// The direct solve (the grid's LDLᵀ) against the full-MNA transient
     /// step (the general LU: dense at 5×5, sparse at 12×12 and 20×20,
-    /// whose MNA systems pass `SPARSE_THRESHOLD`). The larger pad layouts
-    /// have no mirror symmetry, so the worst node is unique. The 5×5
-    /// centre pad ties the four corners, and each solver's rounding
-    /// picks its own: there the reference's worst node must be a worst
-    /// node of the direct solve, to rounding.
+    /// whose MNA systems pass `SPARSE_THRESHOLD`). Every layout but the
+    /// 5×5 centre pad has a unique worst node. The centre pad ties the
+    /// four corners and each solver's rounding picks its own, so there
+    /// the reference's worst node must be a worst node of the direct
+    /// solve, to rounding.
     #[test]
     fn direct_dc_matches_transient_reference() {
-        for (n, pads) in [
-            (5, vec![(0, 0)]),
-            (5, vec![(0, 0), (0, 4), (4, 0), (4, 4)]),
-            (5, vec![(2, 2)]),
-            (12, vec![(0, 0), (3, 11), (11, 5)]),
-            (20, vec![(0, 2), (7, 19), (19, 0), (13, 11)]),
+        for (n, pads, tied) in [
+            (5, vec![(0, 0)], false),
+            (5, vec![(0, 0), (0, 4), (4, 0), (4, 4)], false),
+            (5, vec![(2, 2)], true),
+            (12, vec![(0, 0), (3, 11), (11, 5)], false),
+            (20, vec![(0, 2), (7, 19), (19, 0), (13, 11)], false),
         ] {
             let mut s = spec();
             s.rows = n;
@@ -480,17 +480,21 @@ mod tests {
             let grid = PowerGrid::build(&s).unwrap();
             let direct = grid.analyze().unwrap();
             let reference = grid.analyze_via_transient().unwrap();
-            let mut solver = grid.dc_solver().unwrap();
-            let g = 1.0 / s.segment_resistance.value();
-            solver.solve(&vec![g; grid.segments.len()]).unwrap();
-            let (r, c) = reference.worst_node;
-            let drop_there = s.vdd.value() - solver.node_voltages()[r * n + c];
-            assert!(
-                (drop_there - direct.worst_ir_drop.value()).abs() <= 1e-12,
-                "{n}x{n}: direct worst {:?}, reference worst {:?}",
-                direct.worst_node,
-                reference.worst_node
-            );
+            if tied {
+                let mut solver = grid.dc_solver().unwrap();
+                let g = 1.0 / s.segment_resistance.value();
+                solver.solve(&vec![g; grid.segments.len()]).unwrap();
+                let (r, c) = reference.worst_node;
+                let drop_there = s.vdd.value() - solver.node_voltages()[r * n + c];
+                assert!(
+                    (drop_there - direct.worst_ir_drop.value()).abs() <= 1e-12,
+                    "{n}x{n}: direct worst {:?}, reference worst {:?}",
+                    direct.worst_node,
+                    reference.worst_node
+                );
+            } else {
+                assert_eq!(direct.worst_node, reference.worst_node);
+            }
             assert!(
                 (direct.worst_ir_drop.value() - reference.worst_ir_drop.value()).abs() < 1e-9,
                 "worst drop {} vs {}",

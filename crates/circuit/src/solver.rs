@@ -104,9 +104,7 @@ impl MnaMatrix {
     /// Returns [`CircuitError::Singular`] when the system has no unique
     /// solution.
     pub fn factor(&self) -> Result<MnaFactorization, CircuitError> {
-        metrics::counter("solver.factor").inc();
-        let _t = hotwire_obs::trace::span("solver.factor_time");
-        self.factor_lu()
+        counted_factor(|| self.factor_lu())
     }
 
     /// The LU of [`MnaMatrix::factor`], shared with the refactor
@@ -149,6 +147,23 @@ impl MnaMatrix {
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, CircuitError> {
         Ok(self.factor()?.solve(b))
     }
+}
+
+/// Runs a first factorization of a circuit system (an MNA LU here, the
+/// DC grid's LDLᵀ in [`crate::grid_dc`]), counted as `solver.factor`
+/// and timed as `solver.factor_time`.
+pub(crate) fn counted_factor<T>(factor: impl FnOnce() -> T) -> T {
+    metrics::counter("solver.factor").inc();
+    let _t = hotwire_obs::trace::span("solver.factor_time");
+    factor()
+}
+
+/// Runs a numeric refactor of a circuit system, counted as
+/// `solver.refactor` and timed as `solver.refactor_time`.
+pub(crate) fn counted_refactor<T>(refactor: impl FnOnce() -> T) -> T {
+    metrics::counter("solver.refactor").inc();
+    let _t = hotwire_obs::trace::span("solver.refactor_time");
+    refactor()
 }
 
 /// Publishes the fill and pivot growth of a sparse LU after each factor
@@ -213,32 +228,32 @@ impl MnaFactorization {
     /// Panics when a sparse factorization meets a sparse matrix of a
     /// different dimension.
     pub fn refactor(&mut self, matrix: &MnaMatrix) -> Result<(), CircuitError> {
-        metrics::counter("solver.refactor").inc();
-        let _t = hotwire_obs::trace::span("solver.refactor_time");
-        let in_place_ok = match (&mut *self, matrix) {
-            (Self::Dense(lu), MnaMatrix::Dense(m)) => {
-                *lu = m.clone();
-                lu.factor()?;
-                true
-            }
-            (Self::Sparse(f), MnaMatrix::Sparse(m)) => {
-                let ok = f.refactor(m).is_ok();
-                if ok {
-                    publish_lu_health(f);
+        counted_refactor(|| {
+            let in_place_ok = match (&mut *self, matrix) {
+                (Self::Dense(lu), MnaMatrix::Dense(m)) => {
+                    *lu = m.clone();
+                    lu.factor()?;
+                    true
                 }
-                ok
+                (Self::Sparse(f), MnaMatrix::Sparse(m)) => {
+                    let ok = f.refactor(m).is_ok();
+                    if ok {
+                        publish_lu_health(f);
+                    }
+                    ok
+                }
+                // A dense factorization against a sparse stamp, or the
+                // reverse: nothing to reuse.
+                _ => false,
+            };
+            if !in_place_ok {
+                // The pivot order went stale for the new values, or the
+                // backend changed: factor from scratch.
+                metrics::counter("solver.refactor_fallback").inc();
+                *self = matrix.factor_lu()?;
             }
-            // A dense factorization against a sparse stamp, or the
-            // reverse: nothing to reuse.
-            _ => false,
-        };
-        if !in_place_ok {
-            // The pivot order went stale for the new values, or the
-            // backend changed: factor from scratch.
-            metrics::counter("solver.refactor_fallback").inc();
-            *self = matrix.factor_lu()?;
-        }
-        Ok(())
+            Ok(())
+        })
     }
 }
 
