@@ -136,7 +136,7 @@ impl Baseline {
     #[must_use]
     pub fn render(&self) -> String {
         let mut out = String::from(
-            "# Tolerated violations of the project invariants (HW001-HW009).\n\
+            "# Tolerated violations of the project invariants (HW001-HW007, HW009).\n\
              # This file is a ratchet: counts may only decrease. Regenerate with\n\
              #   cargo xtask analyze --write-baseline\n\
              # after *reducing* violations; never hand-edit a count upward.\n",

@@ -14,8 +14,8 @@
 //! `usize`, `isize`) are never flagged.
 
 use crate::lints::{Lint, Violation};
-use crate::parser::Token;
 use crate::scan::SourceFile;
+use crate::tokens::Token;
 
 /// Crates whose numeric kernels the pass covers.
 pub const KERNEL_CRATES: [&str; 5] = ["circuit", "thermal", "em", "em-tree", "coupled"];

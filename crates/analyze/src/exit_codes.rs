@@ -17,8 +17,8 @@
 //! `// ANALYZE-ALLOW(HW009): reason`.
 
 use crate::lints::{Lint, Violation};
-use crate::parser::{Tok, Token};
 use crate::scan::SourceFile;
+use crate::tokens::{Tok, Token};
 
 /// Runs the pass over one file's token stream.
 pub fn check(sf: &SourceFile, tokens: &[Token], path: &str, out: &mut Vec<Violation>) {

@@ -2,9 +2,9 @@
 //!
 //! The pass walks every `.rs` file under `crates/*/src` **and the root
 //! crate's `src/`** (the `hotwire` CLI + serve layer), scans each with
-//! a dependency-free lexer ([`scan`]), lifts an item-level parse on
-//! top ([`parser`]), applies the HW001–HW009 lints ([`lints`] and the
-//! semantic-pass modules), and diffs the result against the committed
+//! a dependency-free lexer ([`scan`]), tokenizes the result
+//! ([`tokens`]), applies the HW001–HW007 and HW009 lints ([`lints`] and
+//! the semantic-pass modules), and diffs the result against the committed
 //! `analyze-baseline.toml` ratchet ([`baseline`]). See
 //! `docs/STATIC_ANALYSIS.md` for the lint catalog and workflow, and
 //! `cargo xtask analyze --help` for the CLI.
@@ -29,9 +29,8 @@ pub mod casts;
 pub mod exit_codes;
 pub mod lints;
 pub mod metric_names;
-pub mod parser;
 pub mod scan;
-pub mod telemetry_parity;
+pub mod tokens;
 
 use std::path::{Path, PathBuf};
 

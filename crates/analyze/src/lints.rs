@@ -1,11 +1,12 @@
-//! The project-invariant lints, HW001–HW009.
+//! The project-invariant lints, HW001–HW007 and HW009.
 //!
 //! Each lint is named, documented, and greppable; `docs/STATIC_ANALYSIS.md`
 //! is the user-facing catalog. HW001–HW005 work straight off the
-//! scanner's token channels; the semantic passes HW006–HW009 ride the
-//! item-level parser ([`crate::parser`]) and live in their own modules
-//! ([`crate::casts`], [`crate::metric_names`],
-//! [`crate::telemetry_parity`], [`crate::exit_codes`]). All lints skip
+//! scanner's token channels; the semantic passes HW006, HW007 and HW009
+//! ride the tokenizer ([`crate::tokens`]) and live in their own modules
+//! ([`crate::casts`], [`crate::metric_names`], [`crate::exit_codes`]).
+//! HW008 (a parity check for a compile-time feature that no longer
+//! exists) is retired; its ID is not reused. All lints skip
 //! test code (`#[cfg(test)]` items, `#[test]` functions — see
 //! [`crate::scan`]) and honor the `// ANALYZE-ALLOW(HWxxx): <reason>`
 //! escape hatch on the flagged line or the line above; an allow without
@@ -13,7 +14,7 @@
 
 use crate::metric_names::{Catalog, MetricReg};
 use crate::scan::{self, SourceFile};
-use crate::{casts, exit_codes, metric_names, parser, telemetry_parity};
+use crate::{casts, exit_codes, metric_names, tokens};
 
 /// A named project invariant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -39,16 +40,13 @@ pub enum Lint {
     /// Every dotted metric/span name registered via `obs` appears in
     /// docs/OBSERVABILITY.md, and every catalog row is live.
     Hw007MetricCatalog,
-    /// Public `obs` items gated on `feature = "telemetry"` have a
-    /// signature-identical no-op twin in the disabled branch.
-    Hw008TelemetryParity,
     /// Exit statuses flow through the central EXIT_* consts — no bare
     /// `process::exit(n)` / `ExitCode::from(<literal>)`.
     Hw009ExitCodeContract,
 }
 
 /// All lints, in catalog order.
-pub const ALL_LINTS: [Lint; 9] = [
+pub const ALL_LINTS: [Lint; 8] = [
     Lint::Hw001PanicFree,
     Lint::Hw002RawDimension,
     Lint::Hw003ClockAndSink,
@@ -56,7 +54,6 @@ pub const ALL_LINTS: [Lint; 9] = [
     Lint::Hw005ErrorHygiene,
     Lint::Hw006NarrowingCast,
     Lint::Hw007MetricCatalog,
-    Lint::Hw008TelemetryParity,
     Lint::Hw009ExitCodeContract,
 ];
 
@@ -72,7 +69,6 @@ impl Lint {
             Self::Hw005ErrorHygiene => "HW005",
             Self::Hw006NarrowingCast => "HW006",
             Self::Hw007MetricCatalog => "HW007",
-            Self::Hw008TelemetryParity => "HW008",
             Self::Hw009ExitCodeContract => "HW009",
         }
     }
@@ -101,9 +97,6 @@ impl Lint {
             }
             Self::Hw007MetricCatalog => {
                 "dotted metric/span names registered via obs match the docs/OBSERVABILITY.md catalog both ways"
-            }
-            Self::Hw008TelemetryParity => {
-                "pub obs items gated on feature=\"telemetry\" have a signature-identical no-op twin when disabled"
             }
             Self::Hw009ExitCodeContract => {
                 "exit statuses go through the central EXIT_* consts, never bare process::exit/ExitCode::from(n)"
@@ -227,8 +220,8 @@ fn check_file(
     hw004_ordering_justified(sf, path, &mut file_out);
     hw005_error_hygiene(sf, path, error_impls, &mut file_out);
 
-    // Semantic passes over the item-level parse (HW006–HW009).
-    let tokens = parser::tokenize(sf);
+    // Semantic passes over the token stream (HW006, HW007, HW009).
+    let tokens = tokens::tokenize(sf);
     if casts::KERNEL_CRATES.contains(&crate_name) {
         casts::check(sf, &tokens, path, &mut file_out);
     }
@@ -237,10 +230,6 @@ fn check_file(
         metric_names::check_registrations(&regs, catalog, &mut file_out);
     }
     report.metric_regs.extend(regs);
-    if crate_name == "obs" {
-        let items = parser::parse_items(&tokens);
-        telemetry_parity::check(&items, path, &mut file_out);
-    }
     exit_codes::check(sf, &tokens, path, &mut file_out);
 
     // Apply ANALYZE-ALLOW suppression (and flag reasonless allows).

@@ -32,7 +32,6 @@ LINTS:
     HW005  public error enums are #[non_exhaustive] and implement Error
     HW006  narrowing `as` casts in kernel crates carry a // CAST(reason): comment
     HW007  metric/span names match the docs/OBSERVABILITY.md catalog both ways
-    HW008  telemetry-gated pub obs items have signature-identical no-op twins
     HW009  exit codes flow through the central EXIT_* consts, never literals
 
 The baseline is a ratchet: per-file counts may only decrease. Suppress a

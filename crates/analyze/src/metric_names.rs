@@ -17,8 +17,8 @@
 //! `<!-- ANALYZE-ALLOW(HW007): reason -->` on the row itself.
 
 use crate::lints::{Lint, Violation};
-use crate::parser::{Tok, Token};
 use crate::scan::SourceFile;
+use crate::tokens::{Tok, Token};
 
 /// The `obs` entry points whose first string argument registers a name.
 const REGISTRARS: [&str; 5] = ["counter", "gauge", "timer", "span", "span_with"];
@@ -220,8 +220,8 @@ pub fn stale_rows(catalog: &Catalog, regs: &[MetricReg]) -> Vec<Violation> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::tokenize;
     use crate::scan::scan;
+    use crate::tokens::tokenize;
 
     fn regs(src: &str, consts: bool) -> Vec<String> {
         let sf = scan(src);

@@ -1,16 +1,16 @@
-//! Property tests for the analyzer's scanner → tokenizer → item parser
-//! chain: on *arbitrary* input — printable soup, quote-heavy fragments,
-//! and shuffled Rust-ish token salad — the chain never panics, always
+//! Property tests for the analyzer's scanner → tokenizer → lint chain:
+//! on *arbitrary* input — printable soup, quote-heavy fragments, and
+//! shuffled Rust-ish token salad — the chain never panics, always
 //! terminates, and keeps its provenance invariants (1-based line and
 //! column numbers inside the input).
 //!
-//! The parser is forgiving by design (it analyzes work-in-progress
+//! The chain is forgiving by design (it analyzes work-in-progress
 //! trees, not rustc-blessed ones), so "doesn't crash, produces *some*
-//! item list" is the whole contract these tests pin.
+//! token stream" is the whole contract these tests pin.
 
 use hotwire_analyze::lints::analyze_source;
-use hotwire_analyze::parser::{parse_items, tokenize};
 use hotwire_analyze::scan::scan;
+use hotwire_analyze::tokens::tokenize;
 use proptest::prelude::*;
 
 /// Rust-ish fragments the salad strategy shuffles together. Heavy on
@@ -24,7 +24,7 @@ const FRAGMENTS: &[&str] = &[
     "{",
     "impl Foo for Bar<'a, T> {",
     "mod inner {",
-    "#[cfg(feature = \"telemetry\")]",
+    "#[cfg(feature = \"extra\")]",
     "#[cfg_attr(test, allow(dead_code))]",
     "\"a string\nspanning\nlines\"",
     "r#\"raw \" body\"#",
@@ -76,9 +76,6 @@ proptest! {
             prop_assert!(t.line >= 1 && t.line <= line_count, "line {} of {line_count}", t.line);
             prop_assert!(t.col >= 1);
         }
-        let items = parse_items(&tokens);
-        // Termination is the assertion; the item list only has to exist.
-        prop_assert!(items.len() <= tokens.len() + 1);
     }
 
     /// Shuffled Rust-ish fragments — the adversarial mix of multi-line

@@ -2,18 +2,17 @@
 //! the tree-EM stress stage — including the telemetry-overhead check
 //! promised in `docs/OBSERVABILITY.md`.
 //!
-//! Run twice to measure the instrumentation cost:
-//!
 //! ```text
 //! cargo bench -p hotwire-bench --bench coupled
-//! cargo bench -p hotwire-bench --bench coupled --no-default-features
+//! cargo bench -p hotwire-bench --bench coupled -- telemetry_call
 //! ```
 //!
-//! The `coupled_step/100` numbers from the two runs bound the overhead
-//! of the counters/timers on the hot loop (acceptance bar: < 2%). With
-//! telemetry compiled out the registry types are zero-sized and every
-//! call site folds to nothing, so the second run *is* the uninstrumented
-//! baseline, not an approximation of it.
+//! `telemetry_call` times one call of each recording primitive outside
+//! a capture: a span open plus close, a `counter(..).inc()` and a
+//! `Timer::observe`. Those per-call costs times the calls per
+//! `coupled_step` and per `assess` bound what the always-on counters,
+//! timers and spans cost the hot loop (acceptance bar: < 2% of
+//! `coupled_step/100`).
 //!
 //! `coupled_step_traced` reruns the same hot loop under a live span
 //! capture (record + drain per step) — compare against `coupled_step`
@@ -25,13 +24,15 @@
 //! `chip_thermal` times the chip thermal map alone, built and solved the
 //! way one coupled run uses it, across grid sizes and strap pitches.
 
+use std::time::Duration;
+
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use hotwire_coupled::{CoupledEngine, CoupledGridSpec, CoupledOptions};
 use hotwire_em_tree::model::KorhonenModel;
 use hotwire_em_tree::steady::steady_state;
 use hotwire_em_tree::transient::{KorhonenSolver, TransientOptions};
 use hotwire_em_tree::tree::{InterconnectTree, TreeSegment};
-use hotwire_obs::spantree;
+use hotwire_obs::{metrics, spantree, trace};
 use hotwire_thermal::chip::ChipThermalModel;
 use hotwire_thermal::impedance::{effective_width, InsulatorStack};
 use hotwire_units::{CurrentDensity, Kelvin, Length, Seconds};
@@ -39,6 +40,24 @@ use hotwire_units::{CurrentDensity, Kelvin, Length, Seconds};
 fn engine(n: usize) -> CoupledEngine {
     CoupledEngine::new(CoupledGridSpec::demo(n, n), CoupledOptions::default())
         .expect("valid demo spec")
+}
+
+/// One call of each recording primitive, outside a capture: a span
+/// open plus close (its thread-local push and pop, the timer lookup and
+/// observation), a counter lookup plus increment, and one observation
+/// on a held timer handle.
+fn bench_telemetry_call(c: &mut Criterion) {
+    let mut group = c.benchmark_group("telemetry_call");
+    group.sample_size(20);
+    group.bench_function("span", |b| b.iter(|| drop(trace::span("bench.span"))));
+    group.bench_function("counter_inc", |b| {
+        b.iter(|| metrics::counter("bench.counter").inc());
+    });
+    let timer = metrics::timer("bench.timer");
+    group.bench_function("timer_observe", |b| {
+        b.iter(|| timer.observe(black_box(Duration::from_nanos(1500))));
+    });
+    group.finish();
 }
 
 /// One Picard iteration at the converged operating point: restamp +
@@ -245,6 +264,7 @@ fn bench_em_tree_line(c: &mut Criterion) {
 
 criterion_group!(
     benches,
+    bench_telemetry_call,
     bench_coupled_step,
     bench_coupled_step_traced,
     bench_coupled_signoff,

@@ -62,53 +62,43 @@ fn solve_point(
 /// throughput gauges (`sweep.points_per_sec`, `sweep.workers`,
 /// `sweep.utilization`). The batch's [`obs_trace::TraceContext`] is
 /// handed to `f` so the per-point spans parent under the batch span
-/// across the rayon fan-out. Compiles down to a plain call without the
-/// `telemetry` feature.
+/// across the rayon fan-out.
 fn with_batch_metrics<T>(
     points: usize,
     parallel: bool,
     f: impl FnOnce(obs_trace::TraceContext) -> T,
 ) -> T {
-    #[cfg(feature = "telemetry")]
-    {
-        let busy_before_ms = metrics::snapshot()
-            .timers
-            .get("sweep.point_time")
-            .map_or(0.0, |t| t.total_ms);
-        let batch_span = obs_trace::span("sweep.batch_time");
-        let ctx = obs_trace::context();
-        let start = hotwire_obs::Stopwatch::start();
-        let out = f(ctx);
-        let wall = start.elapsed();
-        drop(batch_span);
-        let busy_s = (metrics::snapshot()
-            .timers
-            .get("sweep.point_time")
-            .map_or(0.0, |t| t.total_ms)
-            - busy_before_ms)
-            / 1e3;
-        let workers = if parallel {
-            rayon::current_num_threads().max(1)
-        } else {
-            1
-        };
+    let busy_before_ms = metrics::snapshot()
+        .timers
+        .get("sweep.point_time")
+        .map_or(0.0, |t| t.total_ms);
+    let batch_span = obs_trace::span("sweep.batch_time");
+    let ctx = obs_trace::context();
+    let start = hotwire_obs::Stopwatch::start();
+    let out = f(ctx);
+    let wall = start.elapsed();
+    drop(batch_span);
+    let busy_s = (metrics::snapshot()
+        .timers
+        .get("sweep.point_time")
+        .map_or(0.0, |t| t.total_ms)
+        - busy_before_ms)
+        / 1e3;
+    let workers = if parallel {
+        rayon::current_num_threads().max(1)
+    } else {
+        1
+    };
+    #[allow(clippy::cast_precision_loss)]
+    let workers_f = workers as f64;
+    metrics::gauge("sweep.workers").set(workers_f);
+    let wall_s = wall.as_secs_f64();
+    if wall_s > 0.0 {
         #[allow(clippy::cast_precision_loss)]
-        let workers_f = workers as f64;
-        metrics::gauge("sweep.workers").set(workers_f);
-        let wall_s = wall.as_secs_f64();
-        if wall_s > 0.0 {
-            #[allow(clippy::cast_precision_loss)]
-            metrics::gauge("sweep.points_per_sec").set(points as f64 / wall_s);
-            metrics::gauge("sweep.utilization")
-                .set((busy_s / (wall_s * workers_f)).clamp(0.0, 1.0));
-        }
-        out
+        metrics::gauge("sweep.points_per_sec").set(points as f64 / wall_s);
+        metrics::gauge("sweep.utilization").set((busy_s / (wall_s * workers_f)).clamp(0.0, 1.0));
     }
-    #[cfg(not(feature = "telemetry"))]
-    {
-        let _ = (points, parallel);
-        f(obs_trace::context())
-    }
+    out
 }
 
 /// Solves the problem across a set of duty cycles (Fig. 2), one thread

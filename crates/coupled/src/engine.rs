@@ -27,10 +27,11 @@
 //! [`CoupledError::BeyondResistivityRange`].
 
 use hotwire_circuit::grid_dc::DcGridSolver;
+use hotwire_circuit::power_grid::worst_index;
 use hotwire_circuit::transient::TransientOptions;
 use hotwire_core::signoff::{GoverningRule, NetVerdict};
 use hotwire_em::blech::BlechModel;
-use hotwire_em::lifetime::{LognormalLifetime, WeakestLinkPopulation};
+use hotwire_em::lifetime::{weakest_link_rollup, WeakestLinkPopulation};
 use hotwire_em::BlackModel;
 use hotwire_obs::health::{self, ConvergenceClass, HealthReport};
 use hotwire_obs::trace::{FieldValue, Level};
@@ -597,12 +598,7 @@ impl CoupledEngine {
             // Free the history before `assess`, where a run peaks.
             *mix = Mixing::default();
         }
-        let worst_drop = self.spec.vdd.value()
-            - self
-                .solver
-                .node_voltages()
-                .iter()
-                .fold(f64::INFINITY, |m, &v| m.min(v));
+        let (_, worst_drop) = self.worst_drop().unwrap_or((0, 0.0));
         self.records.push(IterationRecord {
             iteration,
             max_delta_t: delta,
@@ -753,6 +749,13 @@ impl CoupledEngine {
             });
         }
         Ok(())
+    }
+
+    /// The row-major index of the node with the largest IR drop, and
+    /// that drop (ties per [`worst_index`]).
+    fn worst_drop(&self) -> Option<(usize, f64)> {
+        let vdd = self.spec.vdd.value();
+        worst_index(self.solver.node_voltages().iter().map(|&v| vdd - v), vdd)
     }
 
     /// The worst branches by a score function, for error reports.
@@ -1004,7 +1007,6 @@ impl CoupledEngine {
         metrics::counter("coupled.em.immortal_straps")
             .add((assessed.len() - stresses.len()) as u64);
         let ttfs = black.batch_ttf(&stresses);
-        let mut members = Vec::with_capacity(ttfs.len());
         // `batch_ttf` yields one TTF per stress, and `stresses` holds
         // one entry per mortal branch in order — zipping the mortal
         // subset against the TTFs restores the pairing without an
@@ -1012,41 +1014,13 @@ impl CoupledEngine {
         let mortal = assessed.iter_mut().filter(|(_, stress)| stress.is_some());
         for ((branch, _), &ttf) in mortal.zip(&ttfs) {
             branch.ttf = Some(ttf);
-            members.push(
-                LognormalLifetime::from_quantile(
-                    ttf,
-                    self.options.failure_quantile,
-                    self.options.sigma,
-                )
-                .map_err(CoupledError::Em)?,
-            );
         }
-        let chip_failure = if members.is_empty() {
-            None
-        } else {
-            Some(WeakestLinkPopulation::new(members).map_err(CoupledError::Em)?)
-        };
-        let chip_ttf = match &chip_failure {
-            Some(pop) => Some(
-                pop.time_to_fraction(self.options.failure_quantile)
-                    .map_err(CoupledError::Em)?,
-            ),
-            None => None,
-        };
+        let (chip_failure, chip_ttf) =
+            weakest_link_rollup(&ttfs, self.options.failure_quantile, self.options.sigma)
+                .map_err(CoupledError::Em)?
+                .unzip();
 
-        let vdd = self.spec.vdd.value();
-        let cols = self.spec.cols;
-        let mut worst_drop = 0.0_f64;
-        let mut worst_node = (0, 0);
-        for r in 0..self.spec.rows {
-            for c in 0..cols {
-                let drop = vdd - self.solver.node_voltages()[r * cols + c];
-                if drop > worst_drop {
-                    worst_drop = drop;
-                    worst_node = (r, c);
-                }
-            }
-        }
+        let (node, worst_drop) = self.worst_drop().unwrap_or((0, 0.0));
         let peak = self
             .branch_t
             .iter()
@@ -1055,7 +1029,7 @@ impl CoupledEngine {
             iterations: self.records.len(),
             trace: self.trace(),
             worst_ir_drop: Voltage::new(worst_drop),
-            worst_node,
+            worst_node: (node / self.spec.cols, node % self.spec.cols),
             peak_temperature: Kelvin::new(peak),
             branches: assessed.into_iter().map(|(b, _)| b).collect(),
             chip_failure,

@@ -1,10 +1,11 @@
 //! Per-run convergence history of the Anderson-accelerated Picard loop.
 //!
-//! Unlike the process-wide telemetry (`hotwire_obs`, compiled out
-//! without the `telemetry` feature), the convergence trace is a
-//! **functional output**: it is always recorded, rides along on
-//! [`CoupledReport`](crate::CoupledReport), and backs the residual
-//! history of [`CoupledError::NotConverged`](crate::CoupledError). It
+//! Unlike the process-wide telemetry (`hotwire_obs`, whose span
+//! capture records only while `--trace-out` asks for it), the
+//! convergence trace is a **functional output**: it is always
+//! recorded, rides along on [`CoupledReport`](crate::CoupledReport),
+//! and backs the residual history of
+//! [`CoupledError::NotConverged`](crate::CoupledError). It
 //! answers the post-mortem questions the scalar report cannot: how fast
 //! did the fixed point settle, did the residual stall before the cap,
 //! and which stage (electrical refactor+solve vs the thermal CG solve)

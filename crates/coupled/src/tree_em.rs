@@ -18,7 +18,7 @@
 //! their accumulated state at the new operating point.
 
 use hotwire_core::signoff::{GoverningRule, NetVerdict};
-use hotwire_em::lifetime::{LognormalLifetime, WeakestLinkPopulation};
+use hotwire_em::lifetime::{weakest_link_rollup, WeakestLinkPopulation};
 use hotwire_em_tree::model::KorhonenModel;
 use hotwire_em_tree::steady::{batch_steady_state, SteadyStateStress};
 use hotwire_em_tree::transient::{KorhonenSolver, TransientOptions, TransientOutcome};
@@ -288,23 +288,11 @@ pub fn assess_trees(
         .iter()
         .filter_map(|a| a.outcome.as_ref().and_then(|o| o.failure_time))
         .collect();
-    let quantile = engine.options().failure_quantile;
-    let sigma = engine.options().sigma;
-    let mut members = Vec::with_capacity(failures.len());
-    for &ttf in &failures {
-        members.push(
-            LognormalLifetime::from_quantile(ttf, quantile, sigma).map_err(CoupledError::Em)?,
-        );
-    }
-    let chip_failure = if members.is_empty() {
-        None
-    } else {
-        Some(WeakestLinkPopulation::new(members).map_err(CoupledError::Em)?)
-    };
-    let chip_ttf = match &chip_failure {
-        Some(pop) => Some(pop.time_to_fraction(quantile).map_err(CoupledError::Em)?),
-        None => None,
-    };
+    let options = engine.options();
+    let (chip_failure, chip_ttf) =
+        weakest_link_rollup(&failures, options.failure_quantile, options.sigma)
+            .map_err(CoupledError::Em)?
+            .unzip();
     metrics::gauge("em.tree.immortal_fraction")
         .set(immortal_trees as f64 / assessments.len().max(1) as f64);
     Ok(TreeEmReport {

@@ -278,6 +278,45 @@ impl WeakestLinkPopulation {
     }
 }
 
+/// The weakest-link rollup of independent failure sites: each site's
+/// time to the `quantile` failure fraction anchors a lognormal member of
+/// spread `sigma` ([`LognormalLifetime::from_quantile`]), and the chip
+/// fails with its first member. Returns the population and the chip's
+/// time to the same quantile, or `None` when no site fails.
+///
+/// ```
+/// use hotwire_em::lifetime::weakest_link_rollup;
+/// use hotwire_units::Seconds;
+///
+/// let sites = [Seconds::new(1.0e9), Seconds::new(3.0e9)];
+/// let (chip, ttf) = weakest_link_rollup(&sites, 1.0e-3, 0.5)?.expect("two sites");
+/// assert_eq!(chip.len(), 2);
+/// assert!(ttf < sites[0], "two links fail sooner than the weaker alone");
+/// assert!(weakest_link_rollup(&[], 1.0e-3, 0.5)?.is_none());
+/// # Ok::<(), hotwire_em::EmError>(())
+/// ```
+///
+/// # Errors
+///
+/// As [`LognormalLifetime::from_quantile`] and
+/// [`WeakestLinkPopulation::time_to_fraction`].
+pub fn weakest_link_rollup(
+    site_ttfs: &[Seconds],
+    quantile: f64,
+    sigma: f64,
+) -> Result<Option<(WeakestLinkPopulation, Seconds)>, EmError> {
+    if site_ttfs.is_empty() {
+        return Ok(None);
+    }
+    let members = site_ttfs
+        .iter()
+        .map(|&t| LognormalLifetime::from_quantile(t, quantile, sigma))
+        .collect::<Result<Vec<_>, _>>()?;
+    let chip = WeakestLinkPopulation::new(members)?;
+    let ttf = chip.time_to_fraction(quantile)?;
+    Ok(Some((chip, ttf)))
+}
+
 /// The standard normal CDF Φ, via `erfc`:
 /// `Φ(z) = erfc(−z/√2)/2`.
 #[must_use]

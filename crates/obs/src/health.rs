@@ -11,10 +11,8 @@
 //! engine attaches a [`HealthReport`] to every report and diagnostic
 //! bundle (see [`crate::recorder`]).
 //!
-//! Everything here is feature-independent pure arithmetic: the
-//! `telemetry` feature gates *recording*, not *assessment*, so a
-//! `--no-default-features` build still classifies its own convergence.
-//! The condition number itself is computed where the factorization
+//! Everything here is pure arithmetic over numbers the solvers hand
+//! in. The condition number itself is computed where the factorization
 //! lives, by `hotwire_circuit::grid_dc::DcGridSolver`.
 
 use crate::json::Json;

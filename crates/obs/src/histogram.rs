@@ -4,7 +4,7 @@
 //! just count/total/min/max — one 372 ms outlier solve must be
 //! distinguishable from uniformly slow iterations. This module supplies
 //! the bucketing shared by the lock-free atomic histogram inside every
-//! timer cell (`telemetry` builds only) and the plain mergeable
+//! timer cell and the plain mergeable
 //! [`HistogramSnapshot`] that tests and tools use directly.
 //!
 //! # Bucket scheme
@@ -112,7 +112,6 @@ impl HistogramSnapshot {
     }
 
     /// Rebuilds from dense bucket counts (must be `BUCKETS` long).
-    #[cfg(feature = "telemetry")]
     #[must_use]
     pub(crate) fn from_counts(counts: Vec<u64>) -> Self {
         debug_assert_eq!(counts.len(), BUCKETS);
@@ -186,13 +185,11 @@ impl HistogramSnapshot {
 }
 
 /// A lock-free histogram cell: one relaxed `fetch_add` per record.
-#[cfg(feature = "telemetry")]
 #[derive(Debug)]
 pub(crate) struct AtomicHistogram {
     counts: Vec<crate::sync::AtomicU64>,
 }
 
-#[cfg(feature = "telemetry")]
 impl Default for AtomicHistogram {
     fn default() -> Self {
         Self {
@@ -203,7 +200,6 @@ impl Default for AtomicHistogram {
     }
 }
 
-#[cfg(feature = "telemetry")]
 impl AtomicHistogram {
     pub fn record(&self, value: u64) {
         // SAFETY(ordering): each bucket is an independent monotone
@@ -338,7 +334,6 @@ mod tests {
         assert_eq!(h.min(), 0.0);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn atomic_histogram_matches_serial() {
         let atomic = AtomicHistogram::default();

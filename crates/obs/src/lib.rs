@@ -43,17 +43,14 @@
 //!   (see `shims/README.md`), so report files, snapshots, and span
 //!   captures serialize through this module instead.
 //!
-//! Everything that records is behind the default-on `telemetry`
-//! feature; compiled without it, the recording API collapses to empty
-//! inline functions and zero-sized guard types, so instrumented crates
-//! keep a single call-site style with no runtime cost. The [`json`]
-//! module is feature-independent.
+//! Recording is always compiled in. Its cost is a few atomic adds per
+//! counter or timer call and a thread-local push and pop per span; the
+//! budget is measured in `docs/OBSERVABILITY.md`.
 //!
 //! ```
 //! let solves = hotwire_obs::metrics::counter("doc.solves");
 //! solves.inc();
 //! let snap = hotwire_obs::metrics::snapshot();
-//! # #[cfg(feature = "telemetry")]
 //! assert!(snap.counters.get("doc.solves").copied().unwrap_or(0) >= 1);
 //! let text = snap.to_json().to_string();
 //! let back = hotwire_obs::json::parse(&text).unwrap();
@@ -71,7 +68,6 @@ pub mod prom;
 pub mod recorder;
 pub mod spantree;
 pub mod stopwatch;
-#[cfg(feature = "telemetry")]
 pub(crate) mod sync;
 pub mod trace;
 

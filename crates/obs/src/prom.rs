@@ -3,10 +3,8 @@
 //!
 //! This is what `hotwire serve` returns from `GET /metrics`, and it is
 //! deliberately dependency-free: a snapshot is already a frozen tree of
-//! numbers, so exposition is pure string formatting. The module is
-//! feature-independent — without `telemetry` the snapshot is empty and
-//! the exposition degenerates to the single `hotwire_telemetry_enabled`
-//! gauge.
+//! numbers, so exposition is pure string formatting. An empty snapshot
+//! renders as the single `hotwire_telemetry_enabled` gauge.
 //!
 //! # Naming conventions
 //!
@@ -65,9 +63,9 @@ fn header(out: &mut String, name: &str, kind: &str, help: &str) {
 /// Renders `snapshot` in Prometheus text-exposition format 0.0.4.
 ///
 /// The output always contains at least `hotwire_telemetry_enabled`
-/// (1 when the workspace was compiled with the `telemetry` feature),
-/// so a scrape of a no-op build is distinguishable from a scrape that
-/// found nothing to report.
+/// (1 for a snapshot of the live registry, 0 for a default one), so an
+/// empty scrape is distinguishable from one that found nothing to
+/// report.
 #[must_use]
 pub fn render(snapshot: &MetricsSnapshot) -> String {
     const MS_PER_SEC: f64 = 1.0e3;
@@ -77,7 +75,7 @@ pub fn render(snapshot: &MetricsSnapshot) -> String {
         &mut out,
         "hotwire_telemetry_enabled",
         "gauge",
-        "1 when the workspace was compiled with the telemetry feature.",
+        "1 for a snapshot of the live registry, 0 for a blank default.",
     );
     out.push_str(&format!(
         "hotwire_telemetry_enabled {}\n",

@@ -19,15 +19,13 @@
 //! self-contained JSON document that `hotwire doctor` can analyze
 //! offline. The bundle schema is documented in
 //! `docs/OBSERVABILITY.md`.
-//!
-//! With the `telemetry` feature off, [`record`] is an empty inline
-//! function and the ring does not exist; [`bundle`] still produces a
-//! schema-valid (if event-free) document so error paths need no
-//! feature gates.
 
 use std::fmt;
+use std::sync::{LazyLock, Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
 use crate::json::Json;
+use crate::sync::{AtomicU64, Ordering};
 
 /// Ring capacity: the recorder keeps this many most-recent events.
 /// 1024 events × ~100 bytes ≈ 100 KiB, the fixed memory bound.
@@ -64,139 +62,99 @@ impl FlightEvent {
     }
 }
 
-#[cfg(feature = "telemetry")]
-mod imp {
-    use std::sync::{LazyLock, Mutex, PoisonError};
-    use std::time::Instant;
+// SAFETY(ordering): the head counter only hands out unique sequence
+// numbers (a single RMW `fetch_add`); the event payload it indexes
+// is published through the slot's Mutex, which provides the
+// happens-before edge to readers. Loads of the head are used for
+// counts and capacity math where an approximate in-flight value is
+// acceptable. The loom model in tests/loom.rs checks uniqueness of
+// sequence numbers and that a drain observes every completed write.
+const RELAXED: Ordering = Ordering::Relaxed;
 
-    use crate::sync::{AtomicU64, Ordering};
-
-    use super::{FlightEvent, CAPACITY};
-
-    // SAFETY(ordering): the head counter only hands out unique sequence
-    // numbers (a single RMW `fetch_add`); the event payload it indexes
-    // is published through the slot's Mutex, which provides the
-    // happens-before edge to readers. Loads of the head are used for
-    // counts and capacity math where an approximate in-flight value is
-    // acceptable. The loom model in tests/loom.rs checks uniqueness of
-    // sequence numbers and that a drain observes every completed write.
-    pub const RELAXED: Ordering = Ordering::Relaxed;
-
-    struct Slot {
-        seq: u64,
-        t_ms: f64,
-        kind: &'static str,
-        detail: String,
-    }
-
-    pub struct Ring {
-        head: AtomicU64,
-        slots: Vec<Mutex<Option<Slot>>>,
-    }
-
-    fn lock_slot(slot: &Mutex<Option<Slot>>) -> std::sync::MutexGuard<'_, Option<Slot>> {
-        // A panic while holding the guard can at worst leave one stale
-        // event behind; the recorder must never take the process down.
-        slot.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    static RING: LazyLock<Ring> = LazyLock::new(|| Ring {
-        head: AtomicU64::new(0),
-        slots: (0..CAPACITY).map(|_| Mutex::new(None)).collect(),
-    });
-
-    static EPOCH: LazyLock<Instant> = LazyLock::new(Instant::now);
-
-    pub fn record(kind: &'static str, detail: String) {
-        let t_ms = EPOCH.elapsed().as_secs_f64() * 1e3;
-        let ring = &*RING;
-        let seq = ring.head.fetch_add(1, RELAXED);
-        #[allow(clippy::cast_possible_truncation)]
-        let idx = (seq % CAPACITY as u64) as usize;
-        let mut guard = lock_slot(&ring.slots[idx]);
-        // Lap guard: if a writer stalled long enough for the ring to
-        // wrap past it, the newer event wins and the stale one is
-        // dropped — the ring is strictly "most recent CAPACITY events".
-        if guard.as_ref().is_none_or(|s| s.seq < seq) {
-            *guard = Some(Slot {
-                seq,
-                t_ms,
-                kind,
-                detail,
-            });
-        }
-    }
-
-    pub fn snapshot_events() -> Vec<FlightEvent> {
-        let ring = &*RING;
-        let mut events: Vec<FlightEvent> = ring
-            .slots
-            .iter()
-            .filter_map(|slot| {
-                lock_slot(slot).as_ref().map(|s| FlightEvent {
-                    seq: s.seq,
-                    t_ms: s.t_ms,
-                    kind: s.kind,
-                    detail: s.detail.clone(),
-                })
-            })
-            .collect();
-        events.sort_by_key(|e| e.seq);
-        events
-    }
-
-    pub fn recorded() -> u64 {
-        RING.head.load(RELAXED)
-    }
-
-    pub fn clear() {
-        let ring = &*RING;
-        for slot in &ring.slots {
-            *lock_slot(slot) = None;
-        }
-        ring.head.store(0, RELAXED);
-    }
+struct Slot {
+    seq: u64,
+    t_ms: f64,
+    kind: &'static str,
+    detail: String,
 }
+
+struct Ring {
+    head: AtomicU64,
+    slots: Vec<Mutex<Option<Slot>>>,
+}
+
+fn lock_slot(slot: &Mutex<Option<Slot>>) -> MutexGuard<'_, Option<Slot>> {
+    // A panic while holding the guard can at worst leave one stale
+    // event behind; the recorder must never take the process down.
+    slot.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+static RING: LazyLock<Ring> = LazyLock::new(|| Ring {
+    head: AtomicU64::new(0),
+    slots: (0..CAPACITY).map(|_| Mutex::new(None)).collect(),
+});
+
+static EPOCH: LazyLock<Instant> = LazyLock::new(Instant::now);
 
 /// Records one entry into the ring: the write path behind
 /// [`crate::trace::event`] and [`crate::trace::Span::close`], which
-/// instrumented code calls instead. The detail line is rendered from
-/// `args` only when telemetry is compiled in.
-#[allow(unused_variables)]
+/// instrumented code calls instead.
 pub fn record(kind: &'static str, args: fmt::Arguments<'_>) {
-    #[cfg(feature = "telemetry")]
-    imp::record(kind, fmt::format(args));
+    let detail = fmt::format(args);
+    let t_ms = EPOCH.elapsed().as_secs_f64() * 1e3;
+    let ring = &*RING;
+    let seq = ring.head.fetch_add(1, RELAXED);
+    #[allow(clippy::cast_possible_truncation)]
+    let idx = (seq % CAPACITY as u64) as usize;
+    let mut guard = lock_slot(&ring.slots[idx]);
+    // Lap guard: if a writer stalled long enough for the ring to
+    // wrap past it, the newer event wins and the stale one is
+    // dropped — the ring is strictly "most recent CAPACITY events".
+    if guard.as_ref().is_none_or(|s| s.seq < seq) {
+        *guard = Some(Slot {
+            seq,
+            t_ms,
+            kind,
+            detail,
+        });
+    }
 }
 
 /// Copies the ring's current contents, oldest first.
 #[must_use]
 pub fn snapshot_events() -> Vec<FlightEvent> {
-    #[cfg(feature = "telemetry")]
-    {
-        imp::snapshot_events()
-    }
-    #[cfg(not(feature = "telemetry"))]
-    Vec::new()
+    let mut events: Vec<FlightEvent> = RING
+        .slots
+        .iter()
+        .filter_map(|slot| {
+            lock_slot(slot).as_ref().map(|s| FlightEvent {
+                seq: s.seq,
+                t_ms: s.t_ms,
+                kind: s.kind,
+                detail: s.detail.clone(),
+            })
+        })
+        .collect();
+    events.sort_by_key(|e| e.seq);
+    events
 }
 
 /// Total events ever recorded (≥ the ring's current population; the
 /// difference is what the ring has forgotten).
 #[must_use]
 pub fn recorded() -> u64 {
-    #[cfg(feature = "telemetry")]
-    {
-        imp::recorded()
-    }
-    #[cfg(not(feature = "telemetry"))]
-    0
+    RING.head.load(RELAXED)
 }
 
 /// Empties the ring and resets the sequence counter. Intended for
 /// tests and for bracketing a measured region in a benchmark binary —
 /// concurrent [`record`] calls during a clear may survive it.
 pub fn clear() {
-    #[cfg(feature = "telemetry")]
-    imp::clear();
+    let ring = &*RING;
+    for slot in &ring.slots {
+        *lock_slot(slot) = None;
+    }
+    ring.head.store(0, RELAXED);
 }
 
 /// Freezes the recorder, the metrics registry, and an optional health
@@ -210,9 +168,7 @@ pub fn clear() {
 /// * `spec_hash` — fingerprint of the resolved input spec, so bundles
 ///   from different workloads are distinguishable at a glance.
 ///
-/// The document always satisfies [`BUNDLE_SCHEMA`]; a no-telemetry
-/// build emits it with an empty event list and a disabled metrics
-/// snapshot.
+/// The document always satisfies [`BUNDLE_SCHEMA`].
 #[must_use]
 pub fn bundle(reason: &str, detail: &str, health: Option<&Json>, spec_hash: Option<&str>) -> Json {
     let events: Vec<Json> = snapshot_events().iter().map(FlightEvent::to_json).collect();
@@ -265,7 +221,7 @@ pub fn write_bundle(
     Ok(path.to_string_lossy().into_owned())
 }
 
-#[cfg(all(test, feature = "telemetry"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::testutil::lock;

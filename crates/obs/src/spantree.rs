@@ -28,14 +28,13 @@
 //!
 //! Analysis helpers ([`SpanTrace::self_time`], [`SpanTrace::folded`],
 //! [`SpanTrace::critical_paths`]) back the `hotwire trace` subcommand.
-//!
-//! Everything that records is behind the `telemetry` feature; the data
-//! model, writers, parsers, and analysis are feature-independent so a
-//! no-telemetry build can still *read* traces produced elsewhere.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::time::Instant;
 
 use crate::json::Json;
+use crate::sync::{AtomicU64, AtomicU8, Ordering};
 
 /// One completed span in a captured trace.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,8 +63,9 @@ pub struct SpanRecord {
 /// A drained capture: completed spans sorted by `(start_us, id)`.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SpanTrace {
-    /// Whether the producing binary had the `telemetry` feature; a
-    /// no-telemetry build always yields `false` and zero spans.
+    /// Whether the producer recorded spans: `true` for every capture
+    /// this crate takes. Files written by builds that compiled
+    /// telemetry out carry `false` (and zero spans).
     pub telemetry: bool,
     /// Completed spans, sorted by begin time then ID.
     pub spans: Vec<SpanRecord>,
@@ -582,106 +582,75 @@ fn sort_spans(spans: &mut [SpanRecord]) {
     spans.sort_by(|a, b| a.start_us.total_cmp(&b.start_us).then(a.id.cmp(&b.id)));
 }
 
-/// The recording side: per-thread buffers and the process-global
-/// capture flag. `crate::trace` calls [`begin`]/[`end`] from the span
-/// guard; everything here is private to the crate.
-#[cfg(feature = "telemetry")]
-pub(crate) mod cap {
-    use super::{sort_spans, SpanRecord, SpanTrace};
-    use crate::json::Json;
-    use crate::sync::{AtomicU64, AtomicU8, Ordering};
-    use std::cell::RefCell;
-    use std::collections::BTreeMap;
-    use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
-    use std::time::Instant;
+/// 1 while a capture is recording. Purely a sampling gate: span
+/// guards that saw 0 at open simply don't record, and the drain
+/// discards any half pair a racing guard produced.
+static RECORDING: AtomicU8 = AtomicU8::new(0);
+/// Next span ID; IDs start at 1 and never repeat within a process.
+static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
+/// Next dense thread index, assigned at first record per thread.
+static NEXT_TID: AtomicU64 = AtomicU64::new(0);
 
-    /// 1 while a capture is recording. Purely a sampling gate: span
-    /// guards that saw 0 at open simply don't record, and the drain
-    /// discards any half pair a racing guard produced.
-    static RECORDING: AtomicU8 = AtomicU8::new(0);
-    /// Next span ID; IDs start at 1 and never repeat within a process.
-    static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
-    /// Next dense thread index, assigned at first record per thread.
-    static NEXT_TID: AtomicU64 = AtomicU64::new(0);
+enum RawEvent {
+    Begin {
+        id: u64,
+        parent: Option<u64>,
+        name: &'static str,
+        at: Instant,
+        args: Vec<(String, Json)>,
+    },
+    End {
+        id: u64,
+        at: Instant,
+        args: Vec<(String, Json)>,
+    },
+}
 
-    enum RawEvent {
-        Begin {
-            id: u64,
-            parent: Option<u64>,
-            name: &'static str,
-            at: Instant,
-            args: Vec<(String, Json)>,
-        },
-        End {
-            id: u64,
-            at: Instant,
-            args: Vec<(String, Json)>,
-        },
-    }
+/// One thread's capture buffer. [`crate::trace`] keeps the thread's
+/// handle with the rest of its span state and records through it.
+pub(crate) struct ThreadBuffer {
+    tid: u64,
+    events: Mutex<Vec<RawEvent>>,
+}
 
-    struct ThreadBuffer {
-        tid: u64,
-        events: Mutex<Vec<RawEvent>>,
-    }
+struct Shared {
+    epoch: Mutex<Option<Instant>>,
+    buffers: Mutex<Vec<Arc<ThreadBuffer>>>,
+}
 
-    struct Shared {
-        epoch: Mutex<Option<Instant>>,
-        buffers: Mutex<Vec<Arc<ThreadBuffer>>>,
-    }
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
-    fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-        m.lock().unwrap_or_else(PoisonError::into_inner)
-    }
+fn shared() -> &'static Shared {
+    static SHARED: OnceLock<Shared> = OnceLock::new();
+    SHARED.get_or_init(|| Shared {
+        epoch: Mutex::new(None),
+        buffers: Mutex::new(Vec::new()),
+    })
+}
 
-    fn shared() -> &'static Shared {
-        static SHARED: OnceLock<Shared> = OnceLock::new();
-        SHARED.get_or_init(|| Shared {
-            epoch: Mutex::new(None),
-            buffers: Mutex::new(Vec::new()),
-        })
-    }
-
-    thread_local! {
-        /// This thread's buffer handle. The registry keeps a second
-        /// `Arc`; when the thread exits and drops this one, the next
-        /// `start()` prunes the dead buffer by strong count.
-        static LOCAL: RefCell<Option<Arc<ThreadBuffer>>> = const { RefCell::new(None) };
-    }
-
-    pub fn active() -> bool {
-        // SAFETY(ordering): RECORDING is a self-contained sampling
-        // gate; no memory is published through it. Recorders stamp
-        // events with their own `Instant` and the drain pairs or
-        // discards them, so a stale read costs at most one span at a
-        // capture boundary. The loom model
-        // `trace_capture_drain_is_complete_and_balanced` exercises
-        // recording racing a drain.
-        RECORDING.load(Ordering::Relaxed) == 1
-    }
-
-    fn with_local<R>(f: impl FnOnce(&ThreadBuffer) -> R) -> R {
-        LOCAL.with(|slot| {
-            let mut slot = slot.borrow_mut();
-            let buf = slot.get_or_insert_with(|| {
-                // SAFETY(ordering): pure unique-index allocation; the
-                // fetch_add's atomicity alone guarantees distinct tids
-                // and nothing else is published through this counter.
-                let tid = NEXT_TID.fetch_add(1, Ordering::Relaxed);
-                let buf = Arc::new(ThreadBuffer {
-                    tid,
-                    events: Mutex::new(Vec::new()),
-                });
-                lock(&shared().buffers).push(Arc::clone(&buf));
-                buf
-            });
-            f(buf)
-        })
+impl ThreadBuffer {
+    /// A new buffer with the next thread index, registered for the
+    /// drain.
+    pub(crate) fn register() -> Arc<Self> {
+        // SAFETY(ordering): pure unique-index allocation; the
+        // fetch_add's atomicity alone guarantees distinct tids
+        // and nothing else is published through this counter.
+        let tid = NEXT_TID.fetch_add(1, Ordering::Relaxed);
+        let buf = Arc::new(Self {
+            tid,
+            events: Mutex::new(Vec::new()),
+        });
+        lock(&shared().buffers).push(Arc::clone(&buf));
+        buf
     }
 
     /// Records a begin event and returns the new span's ID. The hot
     /// path touches only this thread's own buffer mutex — uncontended
     /// except while a drain is in progress.
-    pub fn begin(
+    pub(crate) fn begin(
+        &self,
         name: &'static str,
         parent: Option<u64>,
         args: Vec<(String, Json)>,
@@ -690,14 +659,12 @@ pub(crate) mod cap {
         // SAFETY(ordering): pure unique-ID allocation; atomicity alone
         // guarantees uniqueness and no other memory rides on the edge.
         let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
-        with_local(|buf| {
-            lock(&buf.events).push(RawEvent::Begin {
-                id,
-                parent,
-                name,
-                at,
-                args,
-            });
+        lock(&self.events).push(RawEvent::Begin {
+            id,
+            parent,
+            name,
+            at,
+            args,
         });
         id
     }
@@ -707,135 +674,120 @@ pub(crate) mod cap {
     /// once a span holds an ID — if the capture was drained in between,
     /// the orphan end is discarded by the next assembly rather than
     /// lost mid-pair.
-    pub fn end(id: u64, at: Instant, args: Vec<(String, Json)>) {
-        with_local(|buf| lock(&buf.events).push(RawEvent::End { id, at, args }));
-    }
-
-    /// Starts (or restarts) the capture: prunes buffers of exited
-    /// threads, clears the rest, stamps the epoch, raises the flag.
-    pub fn start() {
-        {
-            let mut buffers = lock(&shared().buffers);
-            buffers.retain(|b| Arc::strong_count(b) > 1);
-            for b in buffers.iter() {
-                lock(&b.events).clear();
-            }
-        }
-        *lock(&shared().epoch) = Some(Instant::now());
-        // SAFETY(ordering): sampling gate only — see `active`. The
-        // epoch is published under its own mutex, and event timestamps
-        // are clamped to it at assembly, so a recorder that races the
-        // flag cannot produce a nonsensical time.
-        RECORDING.store(1, Ordering::Relaxed);
-    }
-
-    /// Stops the capture and assembles the trace. Spans still open at
-    /// drain time are closed at the drain instant (their end events,
-    /// arriving later, are discarded as orphans by the next assembly).
-    pub fn take() -> SpanTrace {
-        // SAFETY(ordering): sampling gate only — see `active`.
-        RECORDING.store(0, Ordering::Relaxed);
-        let drained_at = Instant::now();
-        let Some(epoch) = lock(&shared().epoch).take() else {
-            return SpanTrace {
-                telemetry: true,
-                spans: Vec::new(),
-            };
-        };
-        let mut all: Vec<(u64, RawEvent)> = Vec::new();
-        {
-            let buffers = lock(&shared().buffers);
-            for b in buffers.iter() {
-                let events = std::mem::take(&mut *lock(&b.events));
-                all.extend(events.into_iter().map(|e| (b.tid, e)));
-            }
-        }
-        let us = |at: Instant| {
-            at.checked_duration_since(epoch)
-                .unwrap_or_default()
-                .as_secs_f64()
-                * 1e6
-        };
-        let mut open: BTreeMap<u64, SpanRecord> = BTreeMap::new();
-        let mut ends = Vec::new();
-        for (tid, e) in all {
-            match e {
-                RawEvent::Begin {
-                    id,
-                    parent,
-                    name,
-                    at,
-                    args,
-                } => {
-                    open.insert(
-                        id,
-                        SpanRecord {
-                            id,
-                            parent,
-                            name: name.to_owned(),
-                            tid,
-                            start_us: us(at),
-                            dur_us: 0.0,
-                            args,
-                        },
-                    );
-                }
-                RawEvent::End { id, at, args } => ends.push((id, at, args)),
-            }
-        }
-        let mut spans = Vec::with_capacity(open.len());
-        for (id, at, args) in ends {
-            // Orphan ends (begin drained by a previous capture) have no
-            // entry here and are dropped.
-            if let Some(mut r) = open.remove(&id) {
-                r.dur_us = (us(at) - r.start_us).max(0.0);
-                r.args.extend(args);
-                spans.push(r);
-            }
-        }
-        for (_, mut r) in open {
-            r.dur_us = (us(drained_at) - r.start_us).max(0.0);
-            spans.push(r);
-        }
-        sort_spans(&mut spans);
-        SpanTrace {
-            telemetry: true,
-            spans,
-        }
+    pub(crate) fn end(&self, id: u64, at: Instant, args: Vec<(String, Json)>) {
+        lock(&self.events).push(RawEvent::End { id, at, args });
     }
 }
 
-/// Starts (or restarts) the process-global span capture. From here
-/// until [`capture_take`], every [`crate::trace::span`] records a
-/// begin/end pair into its thread's buffer. No-op without `telemetry`.
+/// Starts (or restarts) the process-global span capture: prunes the
+/// buffers of exited threads, clears the rest, stamps the epoch, raises
+/// the flag. From here until [`capture_take`], every
+/// [`crate::trace::span`] records a begin/end pair into its thread's
+/// buffer.
 pub fn capture_start() {
-    #[cfg(feature = "telemetry")]
-    cap::start();
+    {
+        let mut buffers = lock(&shared().buffers);
+        buffers.retain(|b| Arc::strong_count(b) > 1);
+        for b in buffers.iter() {
+            lock(&b.events).clear();
+        }
+    }
+    *lock(&shared().epoch) = Some(Instant::now());
+    // SAFETY(ordering): sampling gate only — see `capture_active`. The
+    // epoch is published under its own mutex, and event timestamps
+    // are clamped to it at assembly, so a recorder that races the
+    // flag cannot produce a nonsensical time.
+    RECORDING.store(1, Ordering::Relaxed);
 }
 
 /// `true` while a capture is recording.
 #[must_use]
 pub fn capture_active() -> bool {
-    #[cfg(feature = "telemetry")]
-    {
-        cap::active()
-    }
-    #[cfg(not(feature = "telemetry"))]
-    false
+    // SAFETY(ordering): RECORDING is a self-contained sampling
+    // gate; no memory is published through it. Recorders stamp
+    // events with their own `Instant` and the drain pairs or
+    // discards them, so a stale read costs at most one span at a
+    // capture boundary. The loom model
+    // `trace_capture_drain_is_complete_and_balanced` exercises
+    // recording racing a drain.
+    RECORDING.load(Ordering::Relaxed) == 1
 }
 
 /// Stops the capture and drains every thread's buffer into a
-/// [`SpanTrace`]. Spans still open are closed at the drain instant.
-/// Without `telemetry` this returns an empty trace with
-/// `telemetry: false`.
+/// [`SpanTrace`]. Spans still open at drain time are closed at the
+/// drain instant (their end events, arriving later, are discarded as
+/// orphans by the next assembly).
 #[must_use]
 pub fn capture_take() -> SpanTrace {
-    #[cfg(feature = "telemetry")]
+    // SAFETY(ordering): sampling gate only — see `capture_active`.
+    RECORDING.store(0, Ordering::Relaxed);
+    let drained_at = Instant::now();
+    let Some(epoch) = lock(&shared().epoch).take() else {
+        return SpanTrace {
+            telemetry: true,
+            spans: Vec::new(),
+        };
+    };
+    let mut all: Vec<(u64, RawEvent)> = Vec::new();
     {
-        cap::take()
+        let buffers = lock(&shared().buffers);
+        for b in buffers.iter() {
+            let events = std::mem::take(&mut *lock(&b.events));
+            all.extend(events.into_iter().map(|e| (b.tid, e)));
+        }
     }
-    #[cfg(not(feature = "telemetry"))]
-    SpanTrace::default()
+    let us = |at: Instant| {
+        at.checked_duration_since(epoch)
+            .unwrap_or_default()
+            .as_secs_f64()
+            * 1e6
+    };
+    let mut open: BTreeMap<u64, SpanRecord> = BTreeMap::new();
+    let mut ends = Vec::new();
+    for (tid, e) in all {
+        match e {
+            RawEvent::Begin {
+                id,
+                parent,
+                name,
+                at,
+                args,
+            } => {
+                open.insert(
+                    id,
+                    SpanRecord {
+                        id,
+                        parent,
+                        name: name.to_owned(),
+                        tid,
+                        start_us: us(at),
+                        dur_us: 0.0,
+                        args,
+                    },
+                );
+            }
+            RawEvent::End { id, at, args } => ends.push((id, at, args)),
+        }
+    }
+    let mut spans = Vec::with_capacity(open.len());
+    for (id, at, args) in ends {
+        // Orphan ends (begin drained by a previous capture) have no
+        // entry here and are dropped.
+        if let Some(mut r) = open.remove(&id) {
+            r.dur_us = (us(at) - r.start_us).max(0.0);
+            r.args.extend(args);
+            spans.push(r);
+        }
+    }
+    for (_, mut r) in open {
+        r.dur_us = (us(drained_at) - r.start_us).max(0.0);
+        spans.push(r);
+    }
+    sort_spans(&mut spans);
+    SpanTrace {
+        telemetry: true,
+        spans,
+    }
 }
 
 #[cfg(test)]
@@ -969,7 +921,6 @@ mod tests {
         assert_eq!(paths[0].steps[1].id, 4);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn capture_records_nested_and_cross_thread_spans() {
         // Capture state is process-global; serialize with the other
@@ -1017,7 +968,6 @@ mod tests {
         assert!(capture_take().spans.is_empty());
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn open_spans_are_closed_at_drain_time() {
         let _guard = crate::metrics::testutil::lock();
@@ -1030,16 +980,5 @@ mod tests {
         drop(still_open); // its orphan end is discarded by the next take
         capture_start();
         assert!(capture_take().spans.is_empty());
-    }
-
-    #[cfg(not(feature = "telemetry"))]
-    #[test]
-    fn capture_is_inert_without_telemetry() {
-        capture_start();
-        assert!(!capture_active());
-        let _span = crate::trace::span("noop");
-        let t = capture_take();
-        assert!(!t.telemetry);
-        assert!(t.spans.is_empty());
     }
 }

@@ -6,9 +6,6 @@
 //! Picard loop's per-iteration `electrical_ms`, the sweep throughput
 //! gauges — read the clock through this type instead, so the workspace
 //! has a single, greppable point of contact with the system clock.
-//! Unlike the metrics registry this module is feature-independent: a
-//! `ConvergenceTrace` carries stage timings even in a
-//! `--no-default-features` build.
 
 use std::time::Duration;
 

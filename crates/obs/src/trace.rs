@@ -43,15 +43,22 @@
 //! [`LogConfig`]; the `hotwire` CLI does this from `--log-level` /
 //! `--log-format`. The JSONL format emits exactly one JSON object per
 //! line on stderr — machine-parseable with the schema in
-//! `docs/OBSERVABILITY.md`. With the `telemetry` feature off the whole
-//! module is inert: [`init`] is a no-op, no event can ever be emitted,
-//! and the span/context guards are zero-sized.
+//! `docs/OBSERVABILITY.md`.
+//!
+//! Each thread keeps its span state in one thread-local: the open-span
+//! stack, the adopted cross-thread parents, and its capture buffer. A
+//! captured span touches it once to open and once to close.
 
+use std::cell::RefCell;
 use std::fmt;
+use std::io::Write;
 use std::str::FromStr;
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
-#[cfg(feature = "telemetry")]
 use crate::json::Json;
+use crate::spantree::ThreadBuffer;
+use crate::sync::{AtomicU8, Ordering};
 
 /// Event severity, conventional ordering (`Error` most severe).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -79,7 +86,6 @@ impl Level {
         }
     }
 
-    #[cfg(feature = "telemetry")]
     fn as_u8(self) -> u8 {
         match self {
             Self::Error => 0,
@@ -206,7 +212,6 @@ impl From<bool> for FieldValue<'_> {
     }
 }
 
-#[cfg(feature = "telemetry")]
 impl FieldValue<'_> {
     fn to_json(self) -> Json {
         match self {
@@ -237,176 +242,176 @@ impl fmt::Display for FieldValue<'_> {
 /// Event fields: ordered `(name, value)` pairs.
 pub type Fields<'a> = &'a [(&'a str, FieldValue<'a>)];
 
-#[cfg(feature = "telemetry")]
-mod imp {
-    use super::{Fields, Json, Level, LogConfig, LogFormat};
-    use crate::sync::{AtomicU8, Ordering};
-    use std::cell::RefCell;
-    use std::io::Write;
-    use std::sync::Mutex;
+/// 255 = no subscriber installed.
+static LEVEL: AtomicU8 = AtomicU8::new(255);
+static FORMAT: AtomicU8 = AtomicU8::new(0);
+static WRITE: Mutex<()> = Mutex::new(());
 
-    /// 255 = no subscriber installed.
-    pub static LEVEL: AtomicU8 = AtomicU8::new(255);
-    pub static FORMAT: AtomicU8 = AtomicU8::new(0);
-    static WRITE: Mutex<()> = Mutex::new(());
+/// One entry per open span on this thread. `id` is `Some` only for
+/// spans opened while a [`crate::spantree`] capture was recording.
+struct Frame {
+    name: &'static str,
+    id: Option<u64>,
+}
 
-    /// One entry per open span on this thread. `id` is `Some` only for
-    /// spans opened while a [`crate::spantree`] capture was recording.
-    pub struct Frame {
-        pub name: &'static str,
-        pub id: Option<u64>,
-    }
+/// Everything this thread knows about spans.
+struct ThreadSpans {
+    /// The open spans, outermost first.
+    stack: Vec<Frame>,
+    /// Parents adopted from another thread via [`TraceContext::adopt`].
+    adopted: Vec<u64>,
+    /// This thread's capture buffer, registered at its first captured
+    /// span. The registry keeps a second `Arc`; when the thread exits
+    /// and drops this one, the next capture start prunes the buffer.
+    buffer: Option<Arc<ThreadBuffer>>,
+}
 
-    thread_local! {
-        pub static SPAN_STACK: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
-        /// Parents adopted from another thread via [`super::TraceContext::adopt`].
-        pub static ADOPTED: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
-    }
-
+impl ThreadSpans {
     /// The logical parent for a span opened now on this thread: the
     /// nearest enclosing *captured* span, else the innermost adopted
     /// cross-thread context.
-    pub fn current_parent() -> Option<u64> {
-        SPAN_STACK
-            .with(|stack| stack.borrow().iter().rev().find_map(|f| f.id))
-            .or_else(|| ADOPTED.with(|adopted| adopted.borrow().last().copied()))
+    fn parent(&self) -> Option<u64> {
+        self.stack
+            .iter()
+            .rev()
+            .find_map(|f| f.id)
+            .or_else(|| self.adopted.last().copied())
     }
 
-    pub fn install(config: LogConfig) {
-        let format = match config.format {
-            LogFormat::Text => 0,
-            LogFormat::Json => 1,
-        };
-        // SAFETY(ordering): LEVEL and FORMAT are independent one-byte
-        // configuration flags, each atomic on its own; no other memory
-        // is published through them, so there is no release edge to
-        // establish. A reader racing a reconfiguration may briefly
-        // combine the new format with the old level (or vice versa) —
-        // both fields are self-contained, every combination is a valid
-        // configuration, and `init` documents last-writer-wins. The
-        // loom model `trace_flags_never_tear` checks that each flag
-        // individually only ever reads an installed value.
-        FORMAT.store(format, Ordering::Relaxed);
-        // SAFETY(ordering): same argument as FORMAT above — a
-        // self-contained flag with last-writer-wins semantics.
-        LEVEL.store(config.level.as_u8(), Ordering::Relaxed);
+    fn buffer(&mut self) -> &ThreadBuffer {
+        self.buffer.get_or_insert_with(ThreadBuffer::register)
     }
+}
 
-    pub fn enabled(level: Level) -> bool {
-        // SAFETY(ordering): a stale LEVEL read merely routes one event
-        // through the previous verbosity setting — acceptable by the
-        // last-writer-wins contract above; no data is guarded by this
-        // flag.
-        let current = LEVEL.load(Ordering::Relaxed);
-        current != 255 && level.as_u8() <= current
-    }
-
-    pub fn span_path() -> Option<String> {
-        let names: Vec<&str> =
-            SPAN_STACK.with(|stack| stack.borrow().iter().map(|f| f.name).collect());
-        (!names.is_empty()).then(|| names.join("/"))
-    }
-
-    pub fn emit(level: Level, target: &str, message: &str, fields: Fields<'_>) {
-        let line = render(level, target, message, fields);
-        let _lock = WRITE
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let _ = writeln!(std::io::stderr(), "{line}");
-    }
-
-    /// Fields as ` key=value` pairs: the text sink's and the flight
-    /// recorder's rendering.
-    pub struct Pairs<'a>(pub Fields<'a>);
-
-    impl std::fmt::Display for Pairs<'_> {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            for (k, v) in self.0 {
-                write!(f, " {k}={v}")?;
-            }
-            Ok(())
-        }
-    }
-
-    pub fn render(level: Level, target: &str, message: &str, fields: Fields<'_>) -> String {
-        let span = span_path();
-        // SAFETY(ordering): see `install` — FORMAT is a self-contained
-        // rendering flag; a stale read renders one line in the previous
-        // format, which last-writer-wins permits.
-        if FORMAT.load(Ordering::Relaxed) == 1 {
-            let ts = std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map_or(0.0, |d| d.as_secs_f64());
-            let mut pairs = vec![
-                ("ts".to_owned(), Json::Num(ts)),
-                ("level".to_owned(), Json::from(level.as_str())),
-                ("target".to_owned(), Json::from(target)),
-                ("msg".to_owned(), Json::from(message)),
-            ];
-            if let Some(path) = span {
-                pairs.push(("span".to_owned(), Json::from(path)));
-            }
-            for &(k, v) in fields {
-                pairs.push((k.to_owned(), v.to_json()));
-            }
-            Json::Obj(pairs).to_string()
-        } else {
-            use std::fmt::Write;
-            let mut line = format!("[{level}] {target}: {message}");
-            if let Some(path) = span {
-                let _ = write!(line, " span={path}");
-            }
-            let _ = write!(line, "{}", Pairs(fields));
-            line
-        }
-    }
+thread_local! {
+    static SPANS: RefCell<ThreadSpans> = const {
+        RefCell::new(ThreadSpans {
+            stack: Vec::new(),
+            adopted: Vec::new(),
+            buffer: None,
+        })
+    };
 }
 
 /// Installs the stderr sink. Until this is called nothing is emitted.
 ///
 /// Safe to call again (e.g. per test); the latest configuration wins.
-#[allow(unused_variables)]
 pub fn init(config: LogConfig) {
-    #[cfg(feature = "telemetry")]
-    imp::install(config);
+    let format = match config.format {
+        LogFormat::Text => 0,
+        LogFormat::Json => 1,
+    };
+    // SAFETY(ordering): LEVEL and FORMAT are independent one-byte
+    // configuration flags, each atomic on its own; no other memory
+    // is published through them, so there is no release edge to
+    // establish. A reader racing a reconfiguration may briefly
+    // combine the new format with the old level (or vice versa) —
+    // both fields are self-contained, every combination is a valid
+    // configuration, and `init` documents last-writer-wins. The
+    // loom model `trace_flags_never_tear` checks that each flag
+    // individually only ever reads an installed value.
+    FORMAT.store(format, Ordering::Relaxed);
+    // SAFETY(ordering): same argument as FORMAT above — a
+    // self-contained flag with last-writer-wins semantics.
+    LEVEL.store(config.level.as_u8(), Ordering::Relaxed);
 }
 
 /// `true` when an event at `level` would currently be emitted.
-#[allow(unused_variables)]
 #[must_use]
 pub fn enabled(level: Level) -> bool {
-    #[cfg(feature = "telemetry")]
-    {
-        imp::enabled(level)
+    // SAFETY(ordering): a stale LEVEL read merely routes one event
+    // through the previous verbosity setting — acceptable by the
+    // last-writer-wins contract above; no data is guarded by this
+    // flag.
+    let current = LEVEL.load(Ordering::Relaxed);
+    current != 255 && level.as_u8() <= current
+}
+
+fn span_path() -> Option<String> {
+    SPANS.with(|spans| {
+        let names: Vec<&str> = spans.borrow().stack.iter().map(|f| f.name).collect();
+        (!names.is_empty()).then(|| names.join("/"))
+    })
+}
+
+fn emit(level: Level, target: &str, message: &str, fields: Fields<'_>) {
+    let line = render(level, target, message, fields);
+    let _lock = WRITE
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let _ = writeln!(std::io::stderr(), "{line}");
+}
+
+/// Fields as ` key=value` pairs: the text sink's and the flight
+/// recorder's rendering.
+struct Pairs<'a>(Fields<'a>);
+
+impl fmt::Display for Pairs<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (k, v) in self.0 {
+            write!(f, " {k}={v}")?;
+        }
+        Ok(())
     }
-    #[cfg(not(feature = "telemetry"))]
-    false
+}
+
+fn render(level: Level, target: &str, message: &str, fields: Fields<'_>) -> String {
+    let span = span_path();
+    // SAFETY(ordering): see `init` — FORMAT is a self-contained
+    // rendering flag; a stale read renders one line in the previous
+    // format, which last-writer-wins permits.
+    if FORMAT.load(Ordering::Relaxed) == 1 {
+        let ts = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map_or(0.0, |d| d.as_secs_f64());
+        let mut pairs = vec![
+            ("ts".to_owned(), Json::Num(ts)),
+            ("level".to_owned(), Json::from(level.as_str())),
+            ("target".to_owned(), Json::from(target)),
+            ("msg".to_owned(), Json::from(message)),
+        ];
+        if let Some(path) = span {
+            pairs.push(("span".to_owned(), Json::from(path)));
+        }
+        for &(k, v) in fields {
+            pairs.push((k.to_owned(), v.to_json()));
+        }
+        Json::Obj(pairs).to_string()
+    } else {
+        use std::fmt::Write;
+        let mut line = format!("[{level}] {target}: {message}");
+        if let Some(path) = span {
+            let _ = write!(line, " span={path}");
+        }
+        let _ = write!(line, "{}", Pairs(fields));
+        line
+    }
+}
+
+fn to_args(fields: Fields<'_>) -> Vec<(String, Json)> {
+    fields
+        .iter()
+        .map(|&(key, value)| (key.to_owned(), value.to_json()))
+        .collect()
 }
 
 /// Emits one structured event: into the flight recorder always (kind
 /// `target`, detail the message and ` key=value` fields), and on stderr
 /// when `level` is enabled.
-#[allow(unused_variables)]
 pub fn event(level: Level, target: &'static str, message: &str, fields: Fields<'_>) {
-    #[cfg(feature = "telemetry")]
-    {
-        if imp::enabled(level) {
-            imp::emit(level, target, message, fields);
-        }
-        crate::recorder::record(target, format_args!("{message}{}", imp::Pairs(fields)));
+    if enabled(level) {
+        emit(level, target, message, fields);
     }
+    crate::recorder::record(target, format_args!("{message}{}", Pairs(fields)));
 }
 
 /// A named region of work; see [`span`].
 #[derive(Debug)]
 #[must_use = "a dropped Span closes immediately; bind it with `let _span = ...`"]
 pub struct Span {
-    #[cfg(feature = "telemetry")]
     name: &'static str,
-    #[cfg(feature = "telemetry")]
     id: Option<u64>,
-    #[cfg(feature = "telemetry")]
-    start: std::time::Instant,
+    start: Instant,
 }
 
 impl Span {
@@ -414,12 +419,7 @@ impl Span {
     /// [`crate::spantree`] capture was recording when the span opened.
     #[must_use]
     pub fn id(&self) -> Option<u64> {
-        #[cfg(feature = "telemetry")]
-        {
-            self.id
-        }
-        #[cfg(not(feature = "telemetry"))]
-        None
+        self.id
     }
 
     /// Closes the span with a level and result fields (an iteration's
@@ -430,46 +430,38 @@ impl Span {
     /// elapsed_ms=… key=value …`). The metrics timer is fed as on drop;
     /// a dropped span closes at [`Level::Trace`] with no fields and no
     /// recorder event.
-    #[allow(unused_variables)]
     pub fn close(self, level: Level, fields: Fields<'_>) {
-        #[cfg(feature = "telemetry")]
-        {
-            self.finish(Some((level, fields)));
-            // `finish` did everything `drop` would; the guard owns no heap.
-            std::mem::forget(self);
-        }
+        self.finish(Some((level, fields)));
+        // `finish` did everything `drop` would; the guard owns no heap.
+        std::mem::forget(self);
     }
 
-    #[cfg(feature = "telemetry")]
     fn finish(&self, closed: Option<(Level, Fields<'_>)>) {
-        let end_at = std::time::Instant::now();
+        let end_at = Instant::now();
         let elapsed = end_at.saturating_duration_since(self.start);
         let (level, fields) = closed.unwrap_or((Level::Trace, &[]));
-        if let Some(id) = self.id {
-            // Unconditional once the span holds an ID: if the capture
-            // was drained mid-span, this end is an orphan the next
-            // assembly discards — never a torn pair.
-            let args = fields
-                .iter()
-                .map(|&(key, value)| (key.to_owned(), value.to_json()))
-                .collect();
-            crate::spantree::cap::end(id, end_at, args);
-        }
         crate::metrics::timer(self.name).observe(elapsed);
         let elapsed_ms = elapsed.as_secs_f64() * 1e3;
-        if imp::enabled(level) {
+        if enabled(level) {
             let mut line = vec![("elapsed_ms", FieldValue::F64(elapsed_ms))];
             line.extend_from_slice(fields);
-            imp::emit(level, self.name, "close", &line);
+            emit(level, self.name, "close", &line);
         }
         if closed.is_some() {
             crate::recorder::record(
                 self.name,
-                format_args!("close elapsed_ms={elapsed_ms:?}{}", imp::Pairs(fields)),
+                format_args!("close elapsed_ms={elapsed_ms:?}{}", Pairs(fields)),
             );
         }
-        imp::SPAN_STACK.with(|stack| {
-            let popped = stack.borrow_mut().pop();
+        SPANS.with(|spans| {
+            let mut spans = spans.borrow_mut();
+            if let Some(id) = self.id {
+                // Unconditional once the span holds an ID: if the
+                // capture was drained mid-span, this end is an orphan
+                // the next assembly discards — never a torn pair.
+                spans.buffer().end(id, end_at, to_args(fields));
+            }
+            let popped = spans.stack.pop();
             debug_assert_eq!(
                 popped.map(|f| f.name),
                 Some(self.name),
@@ -495,44 +487,29 @@ pub fn span(name: &'static str) -> Span {
 /// (e.g. the Picard iteration index). The attributes do not reach the
 /// metrics timer, the stderr sink or the flight recorder; outside a
 /// capture they are not even converted.
-#[allow(unused_variables)]
 pub fn span_with(name: &'static str, fields: Fields<'_>) -> Span {
-    #[cfg(feature = "telemetry")]
-    let (id, start) = {
-        let start = std::time::Instant::now();
-        let id = if crate::spantree::capture_active() {
-            let parent = imp::current_parent();
-            let args = fields
-                .iter()
-                .map(|&(key, value)| (key.to_owned(), value.to_json()))
-                .collect();
-            Some(crate::spantree::cap::begin(name, parent, args, start))
-        } else {
-            None
-        };
-        imp::SPAN_STACK.with(|stack| stack.borrow_mut().push(imp::Frame { name, id }));
-        (id, start)
-    };
-    Span {
-        #[cfg(feature = "telemetry")]
-        name,
-        #[cfg(feature = "telemetry")]
-        id,
-        #[cfg(feature = "telemetry")]
-        start,
-    }
+    let start = Instant::now();
+    let id = SPANS.with(|spans| {
+        let mut spans = spans.borrow_mut();
+        let id = crate::spantree::capture_active().then(|| {
+            let parent = spans.parent();
+            spans.buffer().begin(name, parent, to_args(fields), start)
+        });
+        spans.stack.push(Frame { name, id });
+        id
+    });
+    Span { name, id, start }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        #[cfg(feature = "telemetry")]
         self.finish(None);
     }
 }
 
 /// A snapshot of the current logical span, for re-parenting work that
 /// crosses a thread boundary (rayon `par_iter` closures, worker
-/// pools). `Copy`, and zero-sized without `telemetry`.
+/// pools). `Copy`.
 ///
 /// Capture it *before* the fan-out with [`context`], then [`adopt`] it
 /// inside each worker closure; spans the worker opens record the
@@ -543,7 +520,6 @@ impl Drop for Span {
 /// [`adopt`]: TraceContext::adopt
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TraceContext {
-    #[cfg(feature = "telemetry")]
     parent: Option<u64>,
 }
 
@@ -551,14 +527,12 @@ pub struct TraceContext {
 /// (and nearly free) unless a [`crate::spantree`] capture is active.
 #[must_use]
 pub fn context() -> TraceContext {
-    TraceContext {
-        #[cfg(feature = "telemetry")]
-        parent: if crate::spantree::capture_active() {
-            imp::current_parent()
-        } else {
-            None
-        },
-    }
+    let parent = if crate::spantree::capture_active() {
+        SPANS.with(|spans| spans.borrow().parent())
+    } else {
+        None
+    };
+    TraceContext { parent }
 }
 
 impl TraceContext {
@@ -567,19 +541,12 @@ impl TraceContext {
     /// ancestor) parent to the context's span. Nesting adoptions is
     /// fine; the innermost wins.
     pub fn adopt(&self) -> ContextGuard {
-        #[cfg(feature = "telemetry")]
-        {
-            let pushed = match self.parent {
-                Some(parent) => {
-                    imp::ADOPTED.with(|adopted| adopted.borrow_mut().push(parent));
-                    true
-                }
-                None => false,
-            };
-            ContextGuard { pushed }
+        if let Some(parent) = self.parent {
+            SPANS.with(|spans| spans.borrow_mut().adopted.push(parent));
         }
-        #[cfg(not(feature = "telemetry"))]
-        ContextGuard {}
+        ContextGuard {
+            pushed: self.parent.is_some(),
+        }
     }
 }
 
@@ -587,16 +554,14 @@ impl TraceContext {
 #[derive(Debug)]
 #[must_use = "a dropped ContextGuard un-adopts immediately; bind it with `let _ctx = ...`"]
 pub struct ContextGuard {
-    #[cfg(feature = "telemetry")]
     pushed: bool,
 }
 
 impl Drop for ContextGuard {
     fn drop(&mut self) {
-        #[cfg(feature = "telemetry")]
         if self.pushed {
-            imp::ADOPTED.with(|adopted| {
-                adopted.borrow_mut().pop();
+            SPANS.with(|spans| {
+                spans.borrow_mut().adopted.pop();
             });
         }
     }
@@ -615,7 +580,6 @@ mod tests {
         assert!(Level::Error < Level::Trace);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn rendering_both_formats() {
         init(LogConfig {
@@ -627,14 +591,14 @@ mod tests {
             ("dt", 0.5f64.into()),
             ("tag", "x".into()),
         ];
-        let text = imp::render(Level::Info, "coupled", "iteration", fields);
+        let text = render(Level::Info, "coupled", "iteration", fields);
         assert_eq!(text, "[info] coupled: iteration iter=3 dt=0.5 tag=x");
 
         init(LogConfig {
             level: Level::Info,
             format: LogFormat::Json,
         });
-        let line = imp::render(Level::Warn, "cli", "bad \"flag\"", fields);
+        let line = render(Level::Warn, "cli", "bad \"flag\"", fields);
         let v = crate::json::parse(&line).expect("JSONL line parses");
         assert_eq!(
             v.get("level").and_then(crate::json::Json::as_str),
@@ -652,7 +616,6 @@ mod tests {
         });
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn spans_feed_timers_and_stack() {
         let _guard = crate::metrics::testutil::lock();
@@ -660,9 +623,9 @@ mod tests {
         {
             let _outer = span("t.outer");
             let _inner = span("t.inner");
-            assert_eq!(imp::span_path().as_deref(), Some("t.outer/t.inner"));
+            assert_eq!(span_path().as_deref(), Some("t.outer/t.inner"));
         }
-        assert_eq!(imp::span_path(), None);
+        assert_eq!(span_path(), None);
         let snap = crate::metrics::snapshot();
         assert_eq!(snap.timers["t.outer"].count, 1);
         assert_eq!(snap.timers["t.inner"].count, 1);
@@ -673,7 +636,6 @@ mod tests {
     /// capture's args (after the begin args), one flight-recorder
     /// event, and one stderr line when its level is enabled — checked
     /// in a child process, since the sink writes the real stderr.
-    #[cfg(feature = "telemetry")]
     #[test]
     fn a_closed_span_shows_up_once_in_each_view() {
         const CHILD: &str = "HOTWIRE_OBS_CLOSE_CHILD";
@@ -744,7 +706,6 @@ mod tests {
         assert!(lines[0].ends_with(" residual=0.25"), "{stderr}");
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn events_land_in_the_recorder_whatever_the_level() {
         let _guard = crate::metrics::testutil::lock();
@@ -757,16 +718,5 @@ mod tests {
         assert_eq!(ring.len(), 1);
         assert_eq!(ring[0].detail, "happened n=3");
         crate::recorder::clear();
-    }
-
-    #[cfg(not(feature = "telemetry"))]
-    #[test]
-    fn disabled_module_is_inert() {
-        init(LogConfig::default());
-        assert!(!enabled(Level::Error));
-        let _span = span("t.noop");
-        span("t.noop").close(Level::Error, &[("n", 1usize.into())]);
-        event(Level::Error, "t.noop", "nothing", &[]);
-        assert!(crate::recorder::snapshot_events().is_empty());
     }
 }

@@ -1121,17 +1121,9 @@ fn cmd_tree_signoff(opts: &Flags) -> Result<(), CliError> {
         sigma_crit.value() * 1e-6,
         metal_name
     );
-    if !failures.is_empty() {
-        let mut members = Vec::with_capacity(failures.len());
-        for &t in &failures {
-            members.push(
-                hotwire::em::lifetime::LognormalLifetime::from_quantile(t, quantile, sigma)
-                    .map_err(CliError::internal)?,
-            );
-        }
-        let pop = hotwire::em::lifetime::WeakestLinkPopulation::new(members)
-            .map_err(CliError::internal)?;
-        let ttf = pop.time_to_fraction(quantile).map_err(CliError::internal)?;
+    if let Some((_, ttf)) = hotwire::em::lifetime::weakest_link_rollup(&failures, quantile, sigma)
+        .map_err(CliError::internal)?
+    {
         println!(
             "chip TTF = {} at the {quantile:.0e} failure quantile ({} failing tree(s))",
             format_horizon_time(ttf),
@@ -1325,9 +1317,6 @@ fn cmd_trace(args: &[String]) -> Result<(), CliError> {
         return Ok(());
     }
 
-    if !trace.telemetry {
-        println!("(captured by a no-telemetry build: no spans recorded)");
-    }
     let threads = {
         let mut tids: Vec<u64> = trace.spans.iter().map(|s| s.tid).collect();
         tids.sort_unstable();

@@ -863,9 +863,7 @@ mod tests {
             "{reply:?}"
         );
         assert!(reply.contains("X-Hotwire-Request-Id: req-"), "{reply:?}");
-        if cfg!(feature = "telemetry") {
-            assert!(metrics::snapshot().counter("serve.errors") > errors_before);
-        }
+        assert!(metrics::snapshot().counter("serve.errors") > errors_before);
     }
 
     #[test]

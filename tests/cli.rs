@@ -432,28 +432,28 @@ fn metrics_and_trace_out_write_parsable_json() {
             .and_then(|c| c.get(name))
             .and_then(hotwire::obs::json::Json::as_u64)
     };
-    if metrics
-        .get("telemetry")
-        .and_then(hotwire::obs::json::Json::as_bool)
-        == Some(true)
-    {
-        assert_eq!(counter("solver.factor"), Some(1), "one symbolic factor");
-        assert!(
-            counter("solver.refactor").unwrap_or(0) >= 1,
-            "iteration 2+ must reuse the factorization: {metrics}"
-        );
-        let iterations = counter("coupled.iterations").unwrap();
-        assert!(iterations >= 2, "demo 20×20 iterates at least twice");
-        assert_eq!(counter("grid_dc.solves"), Some(iterations));
-        let timers = metrics.get("timers").unwrap();
-        for stage in ["coupled.electrical_time", "coupled.thermal_time"] {
-            let total = timers
-                .get(stage)
-                .and_then(|t| t.get("total_ms"))
-                .and_then(hotwire::obs::json::Json::as_f64)
-                .unwrap();
-            assert!(total >= 0.0, "{stage} records wall time");
-        }
+    assert_eq!(
+        metrics
+            .get("telemetry")
+            .and_then(hotwire::obs::json::Json::as_bool),
+        Some(true)
+    );
+    assert_eq!(counter("solver.factor"), Some(1), "one symbolic factor");
+    assert!(
+        counter("solver.refactor").unwrap_or(0) >= 1,
+        "iteration 2+ must reuse the factorization: {metrics}"
+    );
+    let iterations = counter("coupled.iterations").unwrap();
+    assert!(iterations >= 2, "demo 20×20 iterates at least twice");
+    assert_eq!(counter("grid_dc.solves"), Some(iterations));
+    let timers = metrics.get("timers").unwrap();
+    for stage in ["coupled.electrical_time", "coupled.thermal_time"] {
+        let total = timers
+            .get(stage)
+            .and_then(|t| t.get("total_ms"))
+            .and_then(hotwire::obs::json::Json::as_f64)
+            .unwrap();
+        assert!(total >= 0.0, "{stage} records wall time");
     }
 
     // The JSONL span capture carries the convergence history: one
@@ -462,40 +462,37 @@ fn metrics_and_trace_out_write_parsable_json() {
     let trace =
         hotwire::obs::spantree::SpanTrace::parse(&std::fs::read_to_string(&trace_path).unwrap())
             .expect("trace file is a JSONL span capture");
-    if trace.telemetry {
-        let arg = |s: &hotwire::obs::SpanRecord, key: &str| {
-            s.args
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v.clone())
-        };
-        let iterations: Vec<_> = trace
-            .spans
+    assert!(trace.telemetry);
+    let arg = |s: &hotwire::obs::SpanRecord, key: &str| {
+        s.args
             .iter()
-            .filter(|s| s.name == "coupled.iteration")
-            .collect();
-        assert_eq!(
-            Some(iterations.len() as u64),
-            counter("coupled.iterations"),
-            "one span per iteration"
-        );
-        let run = trace
-            .spans
-            .iter()
-            .find(|s| s.name == "coupled.run")
-            .unwrap();
-        assert_eq!(arg(run, "converged").and_then(|v| v.as_bool()), Some(true));
-        let tolerance = arg(run, "tolerance_k").and_then(|v| v.as_f64()).unwrap();
-        let residual = arg(iterations.last().unwrap(), "max_delta_t_k")
-            .and_then(|v| v.as_f64())
-            .unwrap();
-        assert!(
-            residual <= tolerance,
-            "converged trace ends under tolerance"
-        );
-    } else {
-        assert!(trace.spans.is_empty(), "no spans without telemetry");
-    }
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.clone())
+    };
+    let iterations: Vec<_> = trace
+        .spans
+        .iter()
+        .filter(|s| s.name == "coupled.iteration")
+        .collect();
+    assert_eq!(
+        Some(iterations.len() as u64),
+        counter("coupled.iterations"),
+        "one span per iteration"
+    );
+    let run = trace
+        .spans
+        .iter()
+        .find(|s| s.name == "coupled.run")
+        .unwrap();
+    assert_eq!(arg(run, "converged").and_then(|v| v.as_bool()), Some(true));
+    let tolerance = arg(run, "tolerance_k").and_then(|v| v.as_f64()).unwrap();
+    let residual = arg(iterations.last().unwrap(), "max_delta_t_k")
+        .and_then(|v| v.as_f64())
+        .unwrap();
+    assert!(
+        residual <= tolerance,
+        "converged trace ends under tolerance"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -517,20 +514,16 @@ fn trace_critical_paths_show_each_iteration_residual() {
     ]);
     assert!(ok, "stdout: {stdout}\nstderr: {stderr}");
     let (ok, stdout, stderr) = hotwire(&["trace", path.to_str().unwrap()]);
-    if cfg!(feature = "telemetry") {
-        assert!(ok, "{stderr}");
-        let lines: Vec<&str> = stdout
-            .lines()
-            .skip_while(|l| !l.starts_with("critical path"))
-            .skip(1)
-            .take_while(|l| l.starts_with("  coupled.iteration "))
-            .collect();
-        assert!(lines.len() >= 2, "{stdout}");
-        for line in lines {
-            assert!(line.contains(" [max_delta_t_k="), "{line}");
-        }
-    } else {
-        assert!(!ok, "a no-telemetry capture is empty: {stdout}");
+    assert!(ok, "{stderr}");
+    let lines: Vec<&str> = stdout
+        .lines()
+        .skip_while(|l| !l.starts_with("critical path"))
+        .skip(1)
+        .take_while(|l| l.starts_with("  coupled.iteration "))
+        .collect();
+    assert!(lines.len() >= 2, "{stdout}");
+    for line in lines {
+        assert!(line.contains(" [max_delta_t_k="), "{line}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -622,21 +615,17 @@ fn melted_grid_bundle_reads_thermal_runaway() {
         .collect();
     let (ok, stdout, stderr) = hotwire(&["doctor", entries[0].to_str().unwrap()]);
     assert!(ok, "{stderr}");
-    if cfg!(feature = "telemetry") {
-        assert!(kinds.contains(&"coupled.beyond_range"), "{kinds:?}");
-        let run = events
-            .iter()
-            .rev()
-            .find(|e| e.get("kind").and_then(|v| v.as_str()) == Some("coupled.run"))
-            .and_then(|e| e.get("detail").and_then(|v| v.as_str()))
-            .expect("coupled.run closes into the recorder");
-        assert!(run.contains("converged=false"), "{run}");
-        assert!(stdout.contains("diagnosis: thermal-runaway"), "{stdout}");
-        for hint in ["--sink-ma", "wider or thicker straps", "add pads"] {
-            assert!(stdout.contains(hint), "{hint}: {stdout}");
-        }
-    } else {
-        assert!(kinds.is_empty(), "{kinds:?}");
+    assert!(kinds.contains(&"coupled.beyond_range"), "{kinds:?}");
+    let run = events
+        .iter()
+        .rev()
+        .find(|e| e.get("kind").and_then(|v| v.as_str()) == Some("coupled.run"))
+        .and_then(|e| e.get("detail").and_then(|v| v.as_str()))
+        .expect("coupled.run closes into the recorder");
+    assert!(run.contains("converged=false"), "{run}");
+    assert!(stdout.contains("diagnosis: thermal-runaway"), "{stdout}");
+    for hint in ["--sink-ma", "wider or thicker straps", "add pads"] {
+        assert!(stdout.contains(hint), "{hint}: {stdout}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -666,53 +655,41 @@ fn trace_format_chrome_captures_a_span_tree_the_analyzer_reads() {
     // The raw Trace Event stream must be balanced and well-formed: the
     // `from_chrome` parser rejects unmatched B/E, so a successful parse
     // is the balance assertion. Check the content beyond that.
-    if trace.telemetry {
-        let iterations = trace
-            .spans
-            .iter()
-            .filter(|s| s.name == "coupled.iteration")
-            .count();
-        assert!(iterations >= 2, "demo 20×20 iterates at least twice");
-        for s in trace.spans.iter().filter(|s| s.name == "coupled.iteration") {
-            assert!(
-                s.args.iter().any(|(k, _)| k == "iteration"),
-                "iteration spans carry their index: {s:?}"
-            );
-        }
+    assert!(trace.telemetry);
+    let iterations = trace
+        .spans
+        .iter()
+        .filter(|s| s.name == "coupled.iteration")
+        .count();
+    assert!(iterations >= 2, "demo 20×20 iterates at least twice");
+    for s in trace.spans.iter().filter(|s| s.name == "coupled.iteration") {
         assert!(
-            trace.spans.iter().any(|s| s.name == "coupled.em.strap"),
-            "per-strap EM spans captured"
+            s.args.iter().any(|(k, _)| k == "iteration"),
+            "iteration spans carry their index: {s:?}"
         );
     }
+    assert!(
+        trace.spans.iter().any(|s| s.name == "coupled.em.strap"),
+        "per-strap EM spans captured"
+    );
 
     // The analyzer consumes the same file: self-time table, critical
-    // path, folded stacks. A no-telemetry capture holds zero spans, and
-    // the analyzer refuses it with a usage error instead of printing an
-    // empty report.
+    // path, folded stacks.
     let (ok, stdout, stderr) = hotwire(&["trace", path.to_str().unwrap()]);
-    if trace.telemetry {
-        assert!(ok, "{stderr}");
-        assert!(stdout.contains("self [ms]"), "{stdout}");
-        assert!(stdout.contains("coupled.iteration"), "{stdout}");
-        assert!(stdout.contains("critical path"), "{stdout}");
-        assert!(stdout.contains("folded stacks"), "{stdout}");
-    } else {
-        assert!(!ok, "empty captures must not analyze cleanly");
-        assert!(stderr.contains("no spans captured"), "{stderr}");
-    }
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("self [ms]"), "{stdout}");
+    assert!(stdout.contains("coupled.iteration"), "{stdout}");
+    assert!(stdout.contains("critical path"), "{stdout}");
+    assert!(stdout.contains("folded stacks"), "{stdout}");
 
     // `--folded` pipes bare `stack weight` lines for inferno/speedscope.
     let (ok, folded, _) = hotwire(&["trace", path.to_str().unwrap(), "--folded"]);
-    if trace.telemetry {
-        assert!(ok);
-        assert!(!folded.trim().is_empty());
-        for line in folded.trim().lines() {
-            let (stack, weight) = line.rsplit_once(' ').expect("`stack weight` shape");
-            assert!(!stack.is_empty());
-            weight.parse::<u64>().expect("integer microsecond weight");
-        }
-    } else {
-        assert!(!ok);
+    assert!(ok);
+    assert!(!folded.trim().is_empty());
+    for line in folded.trim().lines() {
+        let (stack, weight) = line.rsplit_once(' ').expect("`stack weight` shape");
+        assert!(!stack.is_empty());
+        weight.parse::<u64>().expect("integer microsecond weight");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -747,18 +724,17 @@ fn trace_out_is_independent_of_log_level() {
         let trace = SpanTrace::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
         let mut names: Vec<String> = trace.spans.iter().map(|s| s.name.clone()).collect();
         names.sort();
-        multisets.push((trace.telemetry, names));
+        assert!(trace.telemetry);
+        multisets.push(names);
     }
     assert_eq!(
         multisets[0], multisets[1],
         "the level filter must not leak into the retained trace"
     );
-    if multisets[0].0 {
-        assert!(
-            multisets[0].1.iter().any(|n| n == "coupled.iteration"),
-            "{multisets:?}"
-        );
-    }
+    assert!(
+        multisets[0].iter().any(|n| n == "coupled.iteration"),
+        "{multisets:?}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -790,9 +766,9 @@ fn trace_subcommand_rejects_bad_invocations() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Satellite regression: a header-only capture (what a no-telemetry
-/// build writes) exits 2 with a clear message instead of an empty
-/// report.
+/// Satellite regression: a header-only capture (what builds that
+/// compiled telemetry out used to write) exits 2 with a clear message
+/// instead of an empty report.
 #[test]
 fn trace_rejects_an_empty_capture() {
     let dir = std::env::temp_dir().join(format!("hotwire-emptytrace-{}", std::process::id()));

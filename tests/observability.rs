@@ -73,11 +73,7 @@ fn sweep_counters_match_between_serial_and_parallel() {
         s.timers.iter().map(|(k, t)| (k.clone(), t.count)).collect()
     };
     assert_eq!(timer_counts(&serial), timer_counts(&parallel));
-    if cfg!(feature = "telemetry") {
-        assert_eq!(serial.counter("sweep.points"), rs.len() as u64);
-    } else {
-        assert!(serial.counters.is_empty(), "no registry without telemetry");
-    }
+    assert_eq!(serial.counter("sweep.points"), rs.len() as u64);
 }
 
 /// The captured span tree must be schedule-independent too: the same
@@ -104,10 +100,6 @@ fn sweep_span_multisets_match_between_serial_and_parallel() {
     duty_cycle_sweep(&problem, &rs).unwrap();
     let parallel = hotwire::obs::spantree::capture_take();
 
-    if !cfg!(feature = "telemetry") {
-        assert!(serial.spans.is_empty() && parallel.spans.is_empty());
-        return;
-    }
     assert_eq!(
         names(&serial),
         names(&parallel),
@@ -174,15 +166,12 @@ fn coupled_assess_counters_match_between_serial_and_parallel() {
 
     assert_eq!(parallel_report, serial_report, "reports are bit-identical");
     assert_eq!(serial.counters, parallel.counters);
-    if cfg!(feature = "telemetry") {
-        let straps = engine.branches().len() as u64;
-        assert_eq!(
-            serial.counter("coupled.em.mortal_straps")
-                + serial.counter("coupled.em.immortal_straps"),
-            straps,
-            "every strap is classified exactly once"
-        );
-    }
+    let straps = engine.branches().len() as u64;
+    assert_eq!(
+        serial.counter("coupled.em.mortal_straps") + serial.counter("coupled.em.immortal_straps"),
+        straps,
+        "every strap is classified exactly once"
+    );
 }
 
 /// A populated snapshot must survive snapshot → JSON → text → JSON →
@@ -206,22 +195,19 @@ fn snapshot_round_trips_through_json() {
     let compact = hotwire::obs::json::parse(&snapshot.to_json().to_string()).unwrap();
     assert_eq!(MetricsSnapshot::from_json(&compact).unwrap(), snapshot);
 
-    if cfg!(feature = "telemetry") {
-        assert_eq!(restored.counter("roundtrip.events"), 42);
-        let stage = restored.timers["roundtrip.stage"];
-        assert_eq!(stage.count, 2);
-        // The histogram quantiles survive the trip and are ordered.
-        assert!(stage.p50_ms > 0.0, "{stage:?}");
-        assert!(stage.p50_ms <= stage.p90_ms && stage.p90_ms <= stage.p99_ms);
-        // The gauge survives as value + envelope; one write means all
-        // three coincide at the exact bit pattern.
-        assert_eq!(
-            restored.gauges["roundtrip.level"],
-            metrics::GaugeStats::single(0.1 + 0.2)
-        );
-    } else {
-        assert!(!restored.enabled);
-    }
+    assert!(restored.enabled);
+    assert_eq!(restored.counter("roundtrip.events"), 42);
+    let stage = restored.timers["roundtrip.stage"];
+    assert_eq!(stage.count, 2);
+    // The histogram quantiles survive the trip and are ordered.
+    assert!(stage.p50_ms > 0.0, "{stage:?}");
+    assert!(stage.p50_ms <= stage.p90_ms && stage.p90_ms <= stage.p99_ms);
+    // The gauge survives as value + envelope; one write means all
+    // three coincide at the exact bit pattern.
+    assert_eq!(
+        restored.gauges["roundtrip.level"],
+        metrics::GaugeStats::single(0.1 + 0.2)
+    );
 }
 
 /// Each Picard iteration is produced once: the close of its
@@ -252,11 +238,6 @@ fn iteration_views_agree_with_the_report_trace() {
     }
     let last = records.last().unwrap();
     assert_eq!(last.peak_temperature, report.peak_temperature.value());
-    if !cfg!(feature = "telemetry") {
-        assert!(capture.spans.is_empty());
-        assert!(recorder::snapshot_events().is_empty());
-        return;
-    }
 
     let spans: Vec<&SpanRecord> = capture
         .spans
@@ -333,10 +314,6 @@ fn coupled_run_timer_encloses_the_stage_timers() {
         CoupledEngine::new(CoupledGridSpec::demo(15, 15), CoupledOptions::default()).unwrap();
     engine.run().unwrap();
     let snap = metrics::snapshot();
-    if !cfg!(feature = "telemetry") {
-        assert!(snap.timers.is_empty());
-        return;
-    }
     let total = |name: &str| snap.timers.get(name).map_or(0.0, |t| t.total_ms);
     let run_ms = total("coupled.run");
     let stage_ms = total("coupled.stamp_time")
@@ -373,9 +350,6 @@ fn residual_gauge_envelope_shows_the_decay() {
         CoupledEngine::new(CoupledGridSpec::demo(10, 10), CoupledOptions::default()).unwrap();
     engine.run().unwrap();
     let report = engine.assess().unwrap();
-    if !cfg!(feature = "telemetry") {
-        return;
-    }
     let residual = metrics::snapshot().gauges["coupled.residual"];
     let deltas: Vec<f64> = report.trace.records.iter().map(|r| r.max_delta_t).collect();
     let last = deltas.last().copied().unwrap();

@@ -189,16 +189,9 @@ fn serve_scrapes_signs_off_and_shuts_down_gracefully() {
         "exposition content type missing: {head}"
     );
     assert_exposition_parses(&text);
-    let telemetry = cfg!(feature = "telemetry");
-    assert!(text.contains(if telemetry {
-        "hotwire_telemetry_enabled 1"
-    } else {
-        "hotwire_telemetry_enabled 0"
-    }));
+    assert!(text.contains("hotwire_telemetry_enabled 1"));
     let requests_before = counter_value(&text, "hotwire_serve_requests_total");
-    if telemetry {
-        assert!(requests_before >= 1.0, "the scrape itself is counted");
-    }
+    assert!(requests_before >= 1.0, "the scrape itself is counted");
 
     // POST /signoff runs a real coupled solve and reports its verdict,
     // echoing the server-assigned request ID in a response header.
@@ -229,22 +222,20 @@ fn serve_scrapes_signs_off_and_shuts_down_gracefully() {
 
     // Counters are monotone across scrapes, and the signoff timers now
     // carry observations.
-    if telemetry {
-        let (_, _, text2) = get(&addr, "/metrics");
-        let requests_after = counter_value(&text2, "hotwire_serve_requests_total");
-        assert!(
-            requests_after > requests_before,
-            "{requests_after} vs {requests_before}"
-        );
-        assert!(counter_value(&text2, "hotwire_serve_signoffs_total") >= 1.0);
-        assert!(counter_value(&text2, "hotwire_coupled_run_seconds_count") >= 1.0);
-        // The per-request latency histogram (fed by the request-scoped
-        // `serve.request` span) is scrapeable.
-        assert!(
-            counter_value(&text2, "hotwire_serve_request_seconds_count") >= 1.0,
-            "serve.request histogram missing from:\n{text2}"
-        );
-    }
+    let (_, _, text2) = get(&addr, "/metrics");
+    let requests_after = counter_value(&text2, "hotwire_serve_requests_total");
+    assert!(
+        requests_after > requests_before,
+        "{requests_after} vs {requests_before}"
+    );
+    assert!(counter_value(&text2, "hotwire_serve_signoffs_total") >= 1.0);
+    assert!(counter_value(&text2, "hotwire_coupled_run_seconds_count") >= 1.0);
+    // The per-request latency histogram (fed by the request-scoped
+    // `serve.request` span) is scrapeable.
+    assert!(
+        counter_value(&text2, "hotwire_serve_request_seconds_count") >= 1.0,
+        "serve.request histogram missing from:\n{text2}"
+    );
 
     stop_gracefully(child);
 }
