@@ -4,10 +4,15 @@
 //! The DC power-grid matrix (pads eliminated, gmin on the diagonal) is
 //! SPD by construction, so it never needs the partial pivoting the
 //! general LU in [`crate::sparse`] pays for, and
-//! [`crate::grid_dc::DcGridSolver`] factors it here at every size. This
-//! module factors `P·A·Pᵀ = L·D·Lᵀ` with:
+//! [`crate::grid_dc::DcGridSolver`] factors it here at every size. Every
+//! way in reads a compressed-column matrix: the grid passes the one it
+//! restamps in place (its stamp map), while
+//! [`SparseMatrix::factor_cholesky`] and
+//! [`CholeskyFactorization::refactor`] first compress their triplets.
+//! This module factors `P·A·Pᵀ = L·D·Lᵀ` with:
 //!
-//! * a fill-reducing AMD permutation ([`crate::ordering::amd`]),
+//! * a fill-reducing AMD permutation ([`crate::ordering::amd`], the
+//!   flat-workspace layout of Davis's `cs_amd`),
 //! * a **symbolic phase** run once per sparsity pattern — elimination
 //!   tree, postorder, exact per-column fill counts, the row pattern of
 //!   `L`, and its fundamental supernodes (runs of etree-chained columns
@@ -74,21 +79,7 @@ impl SparseMatrix {
     /// non-positive. Unsymmetric or indefinite systems belong to the
     /// pivoting LU, [`SparseMatrix::factor`].
     pub fn factor_cholesky(&self) -> Result<CholeskyFactorization, CircuitError> {
-        let n = self.n();
-        let a = self.to_csc();
-        if !spd_candidate(n, &a) {
-            return Err(CircuitError::NotPositiveDefinite { row: 0 });
-        }
-        metrics::counter("solver.chol.factor").inc();
-        let _t = hotwire_obs::trace::span("solver.chol.factor_time");
-        let mut f = {
-            let _o = hotwire_obs::trace::span("solver.chol.ordering_time");
-            CholeskyFactorization::analyze(n, &a)
-        };
-        f.numeric(&a)?;
-        #[allow(clippy::cast_precision_loss)]
-        metrics::gauge("solver.chol.fill_nnz").set(f.nnz() as f64);
-        Ok(f)
+        CholeskyFactorization::factor_csc(&self.to_csc())
     }
 
     /// Alias of [`SparseMatrix::factor_cholesky`] (whose numeric phase
@@ -233,13 +224,43 @@ impl CholeskyFactorization {
     /// Panics if the matrix dimension differs from the factored one.
     pub fn refactor(&mut self, matrix: &SparseMatrix) -> Result<(), CircuitError> {
         assert_eq!(matrix.n(), self.n, "refactor dimension mismatch");
+        self.refactor_csc(&matrix.to_csc())
+    }
+
+    /// Factors the compressed-column matrix `a` (rows sorted, no
+    /// duplicates): the SPD screen, the ordering, the symbolic analysis
+    /// and the numeric phase. [`SparseMatrix::factor_cholesky`] reaches
+    /// it after its own `to_csc`; [`crate::grid_dc::DcGridSolver`] passes
+    /// the matrix it restamps in place.
+    pub(crate) fn factor_csc(a: &Csc) -> Result<Self, CircuitError> {
+        let n = a.col_ptr.len() - 1;
+        if !spd_candidate(n, a) {
+            return Err(CircuitError::NotPositiveDefinite { row: 0 });
+        }
+        metrics::counter("solver.chol.factor").inc();
+        let _t = hotwire_obs::trace::span("solver.chol.factor_time");
+        let mut f = {
+            let _o = hotwire_obs::trace::span("solver.chol.ordering_time");
+            Self::analyze(n, a)
+        };
+        f.numeric(a)?;
+        f.publish_fill();
+        Ok(f)
+    }
+
+    /// The numeric refactor of [`CholeskyFactorization::refactor`] from
+    /// a compressed-column matrix of the factored dimension and pattern.
+    pub(crate) fn refactor_csc(&mut self, a: &Csc) -> Result<(), CircuitError> {
         metrics::counter("solver.chol.refactor").inc();
         let _t = hotwire_obs::trace::span("solver.chol.refactor_time");
-        let a = matrix.to_csc();
-        self.numeric(&a)?;
+        self.numeric(a)?;
+        self.publish_fill();
+        Ok(())
+    }
+
+    fn publish_fill(&self) {
         #[allow(clippy::cast_precision_loss)]
         metrics::gauge("solver.chol.fill_nnz").set(self.nnz() as f64);
-        Ok(())
     }
 
     /// The symbolic phase: ordering, the pattern of `L`, its supernodes,

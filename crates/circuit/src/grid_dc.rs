@@ -13,8 +13,17 @@
 //! nonsingular. Every grid, whatever its size, is therefore factored by
 //! the AMD-ordered LDLᵀ of [`crate::cholesky`], and the
 //! [`CholeskyFactorization`] stays alive across solves so iteration 2+
-//! pays only a numeric [`CholeskyFactorization::refactor`], not the
-//! ordering and symbolic analysis.
+//! pays only a numeric refactor, not the ordering and symbolic analysis.
+//!
+//! The matrix itself is a stamp map. [`DcGridSolver::new`] builds the
+//! compressed-column pattern of the reduced matrix once, with one value
+//! slot per distinct entry, and records for every stamp the slot it adds
+//! into: four per branch between free nodes, one per pad branch and one
+//! per `gmin` diagonal, so parallel branches share their slots. Every
+//! solve, the first included, zeroes the values and scatters the
+//! conductances into them in a fixed order, so a restamped solve adds
+//! exactly what a fresh one would, and the factorization reads the
+//! matrix in place.
 //!
 //! The reduced matrix is a nonsingular M-matrix, so `A⁻¹ ≥ 0` entrywise
 //! and `‖A⁻¹‖∞ = max(A⁻¹·1)`. One extra solve with the factorization in
@@ -37,7 +46,7 @@
 
 use crate::cholesky::CholeskyFactorization;
 use crate::solver::{counted_factor, counted_refactor};
-use crate::sparse::SparseMatrix;
+use crate::sparse::Csc;
 use crate::CircuitError;
 use hotwire_obs::trace::{self, FieldValue, Level};
 use hotwire_obs::{health, metrics};
@@ -68,7 +77,12 @@ pub struct DcGridSolver {
     n_unknowns: usize,
     gmin: f64,
     sinks: Vec<f64>,
-    matrix: SparseMatrix,
+    /// The reduced matrix: its pattern is built once, its values are
+    /// rewritten by every solve.
+    matrix: Csc,
+    /// The slot in `matrix.values` of every stamp, in the order
+    /// [`DcGridSolver::solve`] adds them (see [`stamp_map`]).
+    slots: Vec<u32>,
     /// Factors `matrix`; `None` before the first solve and after a
     /// failed one.
     factorization: Option<CholeskyFactorization>,
@@ -156,6 +170,7 @@ impl DcGridSolver {
             }
         }
         let n_branches = branches.len();
+        let (matrix, slots) = stamp_map(n_unknowns, &branches, &unknown_of);
         Ok(Self {
             n_nodes,
             branches,
@@ -164,7 +179,8 @@ impl DcGridSolver {
             n_unknowns,
             gmin,
             sinks: vec![0.0; n_nodes],
-            matrix: SparseMatrix::zeros(n_unknowns),
+            matrix,
+            slots,
             factorization: None,
             rhs: vec![0.0; n_unknowns],
             row_abs: vec![0.0; n_unknowns],
@@ -191,8 +207,8 @@ impl DcGridSolver {
     /// Solves the grid for the given per-branch conductances (S), in
     /// branch order as passed to [`DcGridSolver::new`].
     ///
-    /// The first call factors the reduced matrix; later calls restamp
-    /// and [`CholeskyFactorization::refactor`], reusing the ordering and
+    /// Every call restamps the reduced matrix in place. The first
+    /// factors it; later calls refactor, reusing the ordering and
     /// symbolic structure. Results land in [`DcGridSolver::node_voltages`]
     /// and [`DcGridSolver::branch_currents`].
     ///
@@ -227,51 +243,12 @@ impl DcGridSolver {
         metrics::gauge("grid_dc.unknowns").set(self.n_unknowns as f64);
         let _t = hotwire_obs::trace::span("grid_dc.solve_time");
         if self.n_unknowns > 0 {
-            self.matrix.clear();
-            self.rhs.iter_mut().for_each(|r| *r = 0.0);
-            self.row_abs.iter_mut().for_each(|r| *r = 0.0);
-            // Stamp in a fixed order so every solve produces the same
-            // sparsity pattern (a refactor() precondition) and the same
-            // floating-point sums as a fresh assembly.
-            for (&(a, b), &g) in self.branches.iter().zip(branch_conductance) {
-                match (self.pinned_v[a], self.pinned_v[b]) {
-                    (None, None) => {
-                        let (ua, ub) = (self.unknown_of[a], self.unknown_of[b]);
-                        self.matrix.add(ua, ua, g);
-                        self.matrix.add(ub, ub, g);
-                        self.matrix.add(ua, ub, -g);
-                        self.matrix.add(ub, ua, -g);
-                        self.row_abs[ua] += 2.0 * g;
-                        self.row_abs[ub] += 2.0 * g;
-                    }
-                    (Some(va), None) => {
-                        let ub = self.unknown_of[b];
-                        self.matrix.add(ub, ub, g);
-                        self.rhs[ub] += g * va;
-                        self.row_abs[ub] += g;
-                    }
-                    (None, Some(vb)) => {
-                        let ua = self.unknown_of[a];
-                        self.matrix.add(ua, ua, g);
-                        self.rhs[ua] += g * vb;
-                        self.row_abs[ua] += g;
-                    }
-                    (Some(_), Some(_)) => {} // both ends pinned: no unknown
-                }
-            }
-            for node in 0..self.n_nodes {
-                if self.pinned_v[node].is_none() {
-                    let u = self.unknown_of[node];
-                    self.matrix.add(u, u, self.gmin);
-                    self.rhs[u] -= self.sinks[node];
-                    self.row_abs[u] += self.gmin;
-                }
-            }
+            self.stamp(branch_conductance);
             // A failed (re)factorization is dropped rather than kept in a
             // half-overwritten state.
             let factored = match self.factorization.take() {
-                Some(mut f) => counted_refactor(|| f.refactor(&self.matrix)).map(|()| f),
-                None => counted_factor(|| self.matrix.factor_cholesky()),
+                Some(mut f) => counted_refactor(|| f.refactor_csc(&self.matrix)).map(|()| f),
+                None => counted_factor(|| CholeskyFactorization::factor_csc(&self.matrix)),
             };
             let f = self.factorization.insert(factored.map_err(|e| match e {
                 CircuitError::NotPositiveDefinite { row } => CircuitError::Singular { row },
@@ -292,6 +269,54 @@ impl DcGridSolver {
         }
         self.solves += 1;
         Ok(())
+    }
+
+    /// Rewrites the reduced matrix, the right-hand side and the row sums
+    /// for `branch_conductance`. The stamps go in a fixed order (the one
+    /// [`stamp_map`] numbered the slots in), so every solve adds the same
+    /// floating-point sums as a fresh solver would.
+    fn stamp(&mut self, branch_conductance: &[f64]) {
+        let values = &mut self.matrix.values;
+        values.fill(0.0);
+        self.rhs.fill(0.0);
+        self.row_abs.fill(0.0);
+        let (slots, mut next) = (&self.slots, 0);
+        let mut add = |v: f64| {
+            values[slots[next] as usize] += v;
+            next += 1;
+        };
+        for (&(a, b), &g) in self.branches.iter().zip(branch_conductance) {
+            match (self.pinned_v[a], self.pinned_v[b]) {
+                (None, None) => {
+                    for v in [g, g, -g, -g] {
+                        add(v);
+                    }
+                    self.row_abs[self.unknown_of[a]] += 2.0 * g;
+                    self.row_abs[self.unknown_of[b]] += 2.0 * g;
+                }
+                (Some(va), None) => {
+                    let ub = self.unknown_of[b];
+                    add(g);
+                    self.rhs[ub] += g * va;
+                    self.row_abs[ub] += g;
+                }
+                (None, Some(vb)) => {
+                    let ua = self.unknown_of[a];
+                    add(g);
+                    self.rhs[ua] += g * vb;
+                    self.row_abs[ua] += g;
+                }
+                (Some(_), Some(_)) => {} // both ends pinned: no unknown
+            }
+        }
+        for node in 0..self.n_nodes {
+            if self.pinned_v[node].is_none() {
+                let u = self.unknown_of[node];
+                add(self.gmin);
+                self.rhs[u] -= self.sinks[node];
+                self.row_abs[u] += self.gmin;
+            }
+        }
     }
 
     /// Post-solve relative residual ‖Ax−b‖∞/‖b‖∞ against the stamps and
@@ -438,9 +463,103 @@ impl DcGridSolver {
     }
 }
 
+/// The compressed-column pattern of the reduced matrix of `branches`
+/// over the free nodes (`unknown_of[node]`, `usize::MAX` when pinned),
+/// with zero values, and the value slot of every stamp in the order
+/// [`DcGridSolver::solve`] adds them: four per branch between free nodes
+/// (`aa`, `bb`, `ab`, `ba`), one per pad branch, then one `gmin`
+/// diagonal per free node. Rows are sorted within each column and every
+/// entry has one slot, so stamps on the same entry share it.
+fn stamp_map(
+    n_unknowns: usize,
+    branches: &[(usize, usize)],
+    unknown_of: &[usize],
+) -> (Csc, Vec<u32>) {
+    let free = |node: usize| Some(unknown_of[node]).filter(|&u| u != usize::MAX);
+    // CAST(free-node indices and value slots stay below the entry count
+    // of a u32-indexed CSC, like every SparseMatrix index): compact map.
+    #[allow(clippy::cast_possible_truncation)]
+    let narrow = |i: usize| i as u32;
+    // Column u holds its diagonal, then one row per branch to a free
+    // neighbour; sorting and dropping repeats merges parallel branches.
+    let mut col_ptr = vec![0usize; n_unknowns + 1];
+    for &(a, b) in branches {
+        if let (Some(ua), Some(ub)) = (free(a), free(b)) {
+            col_ptr[ua + 1] += 1;
+            col_ptr[ub + 1] += 1;
+        }
+    }
+    for u in 0..n_unknowns {
+        col_ptr[u + 1] += col_ptr[u] + 1;
+    }
+    let mut row_idx = vec![0u32; col_ptr[n_unknowns]];
+    let mut cursor = col_ptr.clone();
+    for (u, at) in cursor[..n_unknowns].iter_mut().enumerate() {
+        row_idx[*at] = narrow(u);
+        *at += 1;
+    }
+    for &(a, b) in branches {
+        if let (Some(ua), Some(ub)) = (free(a), free(b)) {
+            row_idx[cursor[ua]] = narrow(ub);
+            cursor[ua] += 1;
+            row_idx[cursor[ub]] = narrow(ua);
+            cursor[ub] += 1;
+        }
+    }
+    let mut starts = Vec::with_capacity(n_unknowns + 1);
+    starts.push(0);
+    let mut diag = Vec::with_capacity(n_unknowns);
+    let mut kept = 0;
+    for u in 0..n_unknowns {
+        let (lo, hi) = (col_ptr[u], col_ptr[u + 1]);
+        row_idx[lo..hi].sort_unstable();
+        for p in lo..hi {
+            let r = row_idx[p];
+            if kept == starts[u] || row_idx[kept - 1] != r {
+                if r as usize == u {
+                    diag.push(narrow(kept));
+                }
+                row_idx[kept] = r;
+                kept += 1;
+            }
+        }
+        starts.push(kept);
+    }
+    row_idx.truncate(kept);
+
+    let off_diagonal = |r: usize, c: usize| {
+        let col = &row_idx[starts[c]..starts[c + 1]];
+        narrow(starts[c] + col.partition_point(|&x| (x as usize) < r))
+    };
+    let mut slots = Vec::with_capacity(4 * branches.len() + n_unknowns);
+    for &(a, b) in branches {
+        match (free(a), free(b)) {
+            (Some(ua), Some(ub)) => slots.extend([
+                diag[ua],
+                diag[ub],
+                off_diagonal(ua, ub),
+                off_diagonal(ub, ua),
+            ]),
+            (Some(u), None) | (None, Some(u)) => slots.push(diag[u]),
+            (None, None) => {} // both ends pinned: no unknown
+        }
+    }
+    slots.extend_from_slice(&diag);
+    let values = vec![0.0; row_idx.len()];
+    (
+        Csc {
+            col_ptr: starts,
+            row_idx,
+            values,
+        },
+        slots,
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sparse::SparseMatrix;
 
     /// rows×cols mesh with unit spacing; returns (branches, index fn).
     fn mesh(rows: usize, cols: usize) -> Vec<(usize, usize)> {
@@ -494,22 +613,102 @@ mod tests {
         assert!((s.branch_currents()[0] + 1.0).abs() < 1e-12);
     }
 
+    /// A topology: node count, branches and pins.
+    type Topology = (usize, Vec<(usize, usize)>, Vec<(usize, f64)>);
+
+    /// Two meshes pinned at opposite corners, and small grids with the
+    /// corner cases of the stamp map: parallel branches (free–free, both
+    /// orientations, and pad ties), a branch between two pinned nodes,
+    /// a node pinned twice, and free nodes held only by `gmin`.
+    fn topologies() -> Vec<(&'static str, Topology)> {
+        let corners = |rows: usize, cols: usize| vec![(0, 1.8), (rows * cols - 1, 1.8)];
+        let mut parallel = mesh(4, 4);
+        parallel.extend([(1, 2), (2, 1), (5, 6), (0, 1), (1, 0), (4, 0)]);
+        vec![
+            ("6x7 mesh", (42, mesh(6, 7), corners(6, 7))),
+            ("15x15 mesh", (225, mesh(15, 15), corners(15, 15))),
+            ("parallel branches", (16, parallel, corners(4, 4))),
+            (
+                "pinned-to-pinned branch",
+                (16, mesh(4, 4), vec![(0, 1.8), (1, 1.7), (15, 1.8)]),
+            ),
+            (
+                "duplicate pins",
+                (
+                    16,
+                    mesh(4, 4),
+                    vec![(0, 1.5), (0, 1.8), (15, 1.8), (15, 1.7)],
+                ),
+            ),
+            ("gmin-held nodes", (20, mesh(4, 4), corners(4, 4))),
+        ]
+    }
+
+    /// The reduced matrix as stamped before the stamp map existed: one
+    /// triplet per stamp in a `SparseMatrix`, in the same order.
+    fn triplets(s: &DcGridSolver, g: &[f64]) -> SparseMatrix {
+        let mut m = SparseMatrix::zeros(s.n_unknowns);
+        for (&(a, b), &g) in s.branches.iter().zip(g) {
+            let (ua, ub) = (s.unknown_of[a], s.unknown_of[b]);
+            match (s.pinned_v[a], s.pinned_v[b]) {
+                (None, None) => {
+                    m.add(ua, ua, g);
+                    m.add(ub, ub, g);
+                    m.add(ua, ub, -g);
+                    m.add(ub, ua, -g);
+                }
+                (Some(_), None) => m.add(ub, ub, g),
+                (None, Some(_)) => m.add(ua, ua, g),
+                (Some(_), Some(_)) => {}
+            }
+        }
+        for node in 0..s.n_nodes {
+            if s.pinned_v[node].is_none() {
+                let u = s.unknown_of[node];
+                m.add(u, u, s.gmin);
+            }
+        }
+        m
+    }
+
+    #[test]
+    fn stamp_map_matches_the_triplet_assembly() {
+        for (name, (n, branches, pinned)) in topologies() {
+            let g: Vec<f64> = (0..branches.len())
+                .map(|k| 0.7 + 0.13 * (k % 11) as f64)
+                .collect();
+            let mut s = DcGridSolver::new(n, branches, &pinned, 1e-9).unwrap();
+            s.solve(&g).unwrap();
+            let want = triplets(&s, &g).to_csc();
+            assert_eq!(s.matrix.col_ptr, want.col_ptr, "{name}");
+            assert_eq!(s.matrix.row_idx, want.row_idx, "{name}");
+            // Only the summation order of shared entries differs.
+            for (k, (&got, &want)) in s.matrix.values.iter().zip(&want.values).enumerate() {
+                let ulps = (got.to_bits() as i64 - want.to_bits() as i64).abs();
+                assert!(ulps <= 4, "{name}: entry {k}: {got:e} vs {want:e}");
+            }
+        }
+    }
+
     #[test]
     fn restamped_solve_matches_fresh_solver() {
-        // Solve a mesh twice with different non-uniform conductances via
-        // restamp+refactor; a fresh solver on the second set must give
-        // the same bits, since the refactor replays the fresh factor's
+        // Solve each topology twice with different non-uniform
+        // conductances via restamp+refactor; a fresh solver on the second
+        // set must give the same bits, since both scatter the same stamps
+        // in the same order and the refactor replays the fresh factor's
         // arithmetic.
-        for (rows, cols) in [(6, 7), (15, 15)] {
-            let branches = mesh(rows, cols);
+        for (name, (n, branches, pinned)) in topologies() {
             let nb = branches.len();
-            let pinned = [(0usize, 1.8f64), (rows * cols - 1, 1.8)];
             let g1: Vec<f64> = (0..nb).map(|k| 1.0 + 0.1 * (k % 7) as f64).collect();
             let g2: Vec<f64> = (0..nb).map(|k| 2.0 + 0.05 * (k % 5) as f64).collect();
+            let mut wired = vec![false; n];
+            for &(a, b) in &branches {
+                wired[a] = true;
+                wired[b] = true;
+            }
             let solver = || {
-                let mut s =
-                    DcGridSolver::new(rows * cols, branches.clone(), &pinned, 1e-12).unwrap();
-                for node in 0..rows * cols {
+                let mut s = DcGridSolver::new(n, branches.clone(), &pinned, 1e-12).unwrap();
+                for node in (0..n).filter(|&node| wired[node]) {
                     s.set_sink(node, 1e-3);
                 }
                 s
@@ -526,18 +725,23 @@ mod tests {
             assert_eq!(
                 bits(reused.node_voltages()),
                 bits(fresh.node_voltages()),
-                "{rows}x{cols}"
+                "{name}"
             );
             assert_eq!(
                 bits(reused.branch_currents()),
                 bits(fresh.branch_currents()),
-                "{rows}x{cols}"
+                "{name}"
             );
             let worst = fresh
                 .node_voltages()
                 .iter()
-                .fold(f64::INFINITY, |m, &v| m.min(v));
-            assert!(worst < 1.8 && worst > 0.0, "droop exists but is bounded");
+                .zip(&wired)
+                .filter(|&(_, &w)| w)
+                .fold(f64::INFINITY, |m, (&v, _)| m.min(v));
+            assert!(
+                worst < 1.8 && worst > 0.0,
+                "{name}: droop exists but is bounded"
+            );
         }
     }
 

@@ -1,487 +1,602 @@
 //! Fill-reducing orderings and elimination-tree machinery for the SPD
 //! Cholesky path.
 //!
-//! The entry point is [`amd`], an approximate-minimum-degree ordering in
-//! the style of Amestoy, Davis and Duff (the quotient-graph formulation
-//! with element absorption, supervariable merging and approximate
-//! external degrees). The companion helpers [`etree`] and [`postorder`]
-//! build the elimination-tree scaffolding the symbolic and numeric
-//! phases in [`crate::cholesky`] rest on.
+//! The entry point is [`amd`], the approximate-minimum-degree ordering of
+//! Amestoy, Davis and Duff (*An approximate minimum degree ordering
+//! algorithm*, SIAM J. Matrix Anal. Appl. 17(4), 1996), laid out as
+//! CSparse's `cs_amd` (Davis, *Direct Methods for Sparse Linear
+//! Systems*, SIAM 2006, §7.1). The quotient graph lives in one flat
+//! integer workspace: every variable's element list and variable list,
+//! and every element's variable list, are packed into one index array
+//! with elbow room at its end. Lists shrink in place as they are pruned,
+//! a new element is written at the free end (or over its pivot's own
+//! list when the pivot touches no element), and a compaction pass
+//! reclaims dead lists when the free end runs out. Elimination absorbs
+//! the elements adjacent to the pivot, and aggressively any other element
+//! whose variables the new one covers; variables left with no external
+//! degree are eliminated with the pivot (mass elimination);
+//! indistinguishable variables are merged into supervariables found
+//! through hash buckets; and the degree lists are flat doubly linked
+//! lists indexed by approximate external degree. Nodes denser than
+//! `10·√n` are ordered last.
 //!
-//! Everything here is deterministic: ties in the degree lists break by
-//! insertion order, supervariable merges pick the smallest surviving
-//! index, and no iteration order depends on hashing or allocation
+//! The companion helpers [`etree`] and [`postorder`] build the
+//! elimination-tree scaffolding the symbolic and numeric phases in
+//! [`crate::cholesky`] rest on.
+//!
+//! Everything here is deterministic: degree lists are last-in first-out
+//! and start out lowest index first, hash buckets and list scans follow
+//! positions in the workspace, and nothing depends on allocation
 //! addresses, so a factorization is reproducible bit for bit.
 
 /// Sentinel for "no node" in the u32 index arrays below.
 const NONE: u32 = u32::MAX;
 
-/// Computes an approximate-minimum-degree permutation for a symmetric
-/// sparsity pattern given in CSC form (`col_ptr`/`row_idx`, diagonal
-/// entries ignored). Returns `perm` with `perm[k]` = the original index
-/// eliminated at step `k`.
+/// "Empty" in the signed lists of [`amd`].
+const EMPTY: i32 = -1;
+
+/// `flip(i) = −i − 2`, its own inverse. A negative list pointer
+/// `flip(p)` names the element or supervariable `p` that absorbed its
+/// owner; `flip(EMPTY) = EMPTY`.
+const fn flip(i: i32) -> i32 {
+    -i - 2
+}
+
+/// A node index or workspace position as stored in [`amd`]'s lists.
+fn ix(i: usize) -> i32 {
+    // CAST(every node index and workspace position is below the i32
+    // bound `amd` checks before it builds the workspace): compact lists.
+    #[allow(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
+    let i = i as i32;
+    i
+}
+
+/// Computes an approximate-minimum-degree permutation for the pattern of
+/// `A + Aᵀ` of a square matrix given in CSC form (`col_ptr`/`row_idx`;
+/// diagonal entries, duplicates and row order are ignored). Returns
+/// `perm` with `perm[k]` = the original index eliminated at step `k`.
 ///
-/// The pattern must be structurally symmetric; the ordering is still a
-/// valid permutation if it is not, but the fill prediction degrades.
+/// The order is a postorder of the assembly tree, so every element's
+/// variables come out together and before its parent's.
 pub fn amd(n: usize, col_ptr: &[usize], row_idx: &[u32]) -> Vec<u32> {
     if n == 0 {
         return Vec::new();
     }
-    let mut g = Quotient::new(n, col_ptr, row_idx);
-    g.eliminate_all();
-    g.into_perm()
+    // The flat lists index themselves with i32; beyond that bound (some
+    // 2³¹ pattern entries) keep the natural order, which is still valid.
+    let room = 2 * row_idx.len() + 2 * row_idx.len() / 5 + 2 * n + 1;
+    if i32::try_from(room).is_err() {
+        return natural(n);
+    }
+    let mut g = Amd::new(n, col_ptr, row_idx);
+    while g.nel < g.n {
+        let k = g.select_pivot();
+        g.eliminate(k);
+    }
+    g.postorder()
 }
 
-/// Node status in the quotient graph.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Status {
-    /// A live supervariable (candidate pivot).
-    Alive,
-    /// Merged into another supervariable (follow `merge_parent`).
-    Merged,
-    /// Eliminated; the node id now names an element.
-    Eliminated,
+/// `0, 1, …, n − 1`.
+fn natural(n: usize) -> Vec<u32> {
+    // CAST(only reached for patterns past the i32 workspace bound, and
+    // node indices already arrive as u32): the identity order.
+    #[allow(clippy::cast_possible_truncation)]
+    (0..n).map(|i| i as u32).collect()
 }
 
-/// The quotient-graph state for one AMD run.
-struct Quotient {
-    n: usize,
-    status: Vec<Status>,
-    /// Union-find parent for merged supervariables.
-    merge_parent: Vec<u32>,
-    /// Weight (number of original variables) of each supervariable root.
-    nv: Vec<usize>,
-    /// Live variable neighbors (may contain stale merged entries;
-    /// resolved through `find` on read).
-    adj_var: Vec<Vec<u32>>,
-    /// Adjacent element ids (may contain absorbed entries).
-    adj_el: Vec<Vec<u32>>,
-    /// Members of each element (valid only while un-absorbed).
-    el_members: Vec<Vec<u32>>,
-    el_absorbed: Vec<bool>,
-    /// Approximate external degree, weighted by `nv`.
-    degree: Vec<usize>,
-    // Doubly-linked degree buckets.
-    deg_head: Vec<u32>,
-    deg_next: Vec<u32>,
-    deg_prev: Vec<u32>,
-    cur_min: usize,
-    // Stamp workspaces (monotone u64 tags, never reset). `mark` holds
-    // the current pivot's Lp membership; `mark2` is a scratch dedup
-    // stamp that must never clobber `mark` mid-pivot.
-    mark: Vec<u64>,
-    mark2: Vec<u64>,
-    tag: u64,
-    /// Per-element external weight cache, valid when `w_stamp` equals
-    /// the current pivot's Lp tag.
-    w_val: Vec<usize>,
-    w_stamp: Vec<u64>,
-    /// Scratch dedup stamp for element lists.
-    el_mark: Vec<u64>,
-    // Supervariable group chains: originals output together.
-    group_head: Vec<u32>,
-    group_tail: Vec<u32>,
-    group_next: Vec<u32>,
-    /// Elimination order of supervariable roots.
-    elim_order: Vec<u32>,
-    // Scratch reused across pivots.
-    lp: Vec<u32>,
-    scratch: Vec<u32>,
+/// One AMD run: the quotient graph and its degree and hash lists, every
+/// array indexed by node (`0..n`) plus the element `n` that collects
+/// dense nodes.
+struct Amd {
+    n: i32,
+    /// Where node `i`'s list starts in `iw` while `i` is a live variable
+    /// or element; `flip(p)` once absorbed into `p`; `EMPTY` for a root
+    /// of the assembly tree.
+    pe: Vec<i32>,
+    /// The length of that list.
+    len: Vec<i32>,
+    /// For a variable, how many of its list's leading entries are
+    /// elements (the rest are variables); −2 for an element, −1 for a
+    /// dead variable.
+    elen: Vec<i32>,
+    /// For a variable, how many nodes its supervariable holds (negated
+    /// while it sits in the new element); 0 once merged or absorbed. For
+    /// an element, how many nodes it eliminated.
+    nv: Vec<i32>,
+    /// For a variable, its approximate external degree; for an element,
+    /// the weight of its variable list.
+    degree: Vec<i32>,
+    /// For an element, `|Le \ Lk| + mark` while pivot `k` is being
+    /// eliminated; 0 for a dead element. Scratch marks otherwise.
+    w: Vec<i32>,
+    /// Degree lists: `head[d]` starts the list of degree `d`.
+    head: Vec<i32>,
+    next: Vec<i32>,
+    last: Vec<i32>,
+    /// Hash buckets of the supervariable search.
+    hhead: Vec<i32>,
+    /// The packed lists; `iw[cnz..]` is free.
+    iw: Vec<i32>,
+    cnz: usize,
+    /// Every `w` entry of a live element lies below `mark`.
+    mark: i32,
+    /// The largest element weight so far.
+    lemax: i32,
+    mindeg: i32,
+    /// Nodes eliminated so far.
+    nel: i32,
 }
 
-impl Quotient {
+impl Amd {
+    /// The quotient graph of `A + Aᵀ` without its diagonal: one
+    /// deduplicated variable list per node, with `cnz/5 + 2n` entries of
+    /// elbow room behind them, and every node in its degree list.
     fn new(n: usize, col_ptr: &[usize], row_idx: &[u32]) -> Self {
-        let mut adj_var = vec![Vec::new(); n];
-        for c in 0..n {
-            let lo = col_ptr[c];
-            let hi = col_ptr[c + 1];
-            for &r in &row_idx[lo..hi] {
-                if r as usize != c {
-                    adj_var[c].push(r);
+        // Each off-diagonal entry lands in its column's list and its
+        // row's, then each list drops its repeats in place.
+        let mut start = vec![0usize; n + 1];
+        for j in 0..n {
+            for &i in &row_idx[col_ptr[j]..col_ptr[j + 1]] {
+                if i as usize != j {
+                    start[i as usize] += 1;
+                    start[j] += 1;
                 }
             }
         }
-        let degree: Vec<usize> = adj_var.iter().map(Vec::len).collect();
-        let mut q = Quotient {
-            n,
-            status: vec![Status::Alive; n],
-            merge_parent: vec![NONE; n],
-            nv: vec![1; n],
-            adj_var,
-            adj_el: vec![Vec::new(); n],
-            el_members: vec![Vec::new(); n],
-            el_absorbed: vec![false; n],
-            degree,
-            deg_head: vec![NONE; n + 1],
-            deg_next: vec![NONE; n],
-            deg_prev: vec![NONE; n],
-            cur_min: 0,
-            mark: vec![0; n],
-            mark2: vec![0; n],
-            tag: 0,
-            w_val: vec![0; n],
-            w_stamp: vec![0; n],
-            el_mark: vec![0; n],
-            group_head: (0..n as u32).collect(),
-            group_tail: (0..n as u32).collect(),
-            group_next: vec![NONE; n],
-            elim_order: Vec::with_capacity(n),
-            lp: Vec::new(),
-            scratch: Vec::new(),
+        let mut sum = 0;
+        for s in &mut start {
+            let count = *s;
+            *s = sum;
+            sum += count;
+        }
+        let mut iw = vec![0i32; sum];
+        let mut fill = start.clone();
+        for j in 0..n {
+            for &i in &row_idx[col_ptr[j]..col_ptr[j + 1]] {
+                let i = i as usize;
+                if i != j {
+                    iw[fill[j]] = ix(i);
+                    fill[j] += 1;
+                    iw[fill[i]] = ix(j);
+                    fill[i] += 1;
+                }
+            }
+        }
+        let mut pe = vec![EMPTY; n + 1];
+        let mut len = vec![0i32; n + 1];
+        let mut seen = vec![EMPTY; n];
+        let mut cnz = 0;
+        for j in 0..n {
+            pe[j] = ix(cnz);
+            for p in start[j]..start[j + 1] {
+                let i = iw[p];
+                if seen[i as usize] != ix(j) {
+                    seen[i as usize] = ix(j);
+                    iw[cnz] = i;
+                    cnz += 1;
+                }
+            }
+            len[j] = ix(cnz) - pe[j];
+        }
+        iw.resize(cnz + cnz / 5 + 2 * n, 0);
+
+        let ni = ix(n);
+        let mut g = Self {
+            n: ni,
+            pe,
+            degree: len.clone(),
+            len,
+            elen: vec![0; n + 1],
+            nv: vec![1; n + 1],
+            w: vec![1; n + 1],
+            head: vec![EMPTY; n + 1],
+            next: vec![EMPTY; n + 1],
+            last: vec![EMPTY; n + 1],
+            hhead: vec![EMPTY; n + 1],
+            iw,
+            cnz,
+            mark: 2,
+            lemax: 0,
+            mindeg: 0,
+            nel: 0,
         };
-        // Insert in reverse so bucket heads hold the smallest index —
-        // deterministic tie-breaking toward low indices.
-        for i in (0..n as u32).rev() {
-            q.bucket_insert(i);
-        }
-        q
-    }
-
-    /// Resolves a (possibly merged) supervariable to its live root,
-    /// with path compression.
-    fn find(&mut self, mut i: u32) -> u32 {
-        let mut root = i;
-        while self.merge_parent[root as usize] != NONE {
-            root = self.merge_parent[root as usize];
-        }
-        while self.merge_parent[i as usize] != NONE {
-            let next = self.merge_parent[i as usize];
-            self.merge_parent[i as usize] = root;
-            i = next;
-        }
-        root
-    }
-
-    fn bucket_insert(&mut self, i: u32) {
-        let d = self.degree[i as usize].min(self.n);
-        let head = self.deg_head[d];
-        self.deg_next[i as usize] = head;
-        self.deg_prev[i as usize] = NONE;
-        if head != NONE {
-            self.deg_prev[head as usize] = i;
-        }
-        self.deg_head[d] = i;
-        if d < self.cur_min {
-            self.cur_min = d;
-        }
-    }
-
-    fn bucket_remove(&mut self, i: u32) {
-        let d = self.degree[i as usize].min(self.n);
-        let prev = self.deg_prev[i as usize];
-        let next = self.deg_next[i as usize];
-        if prev != NONE {
-            self.deg_next[prev as usize] = next;
-        } else if self.deg_head[d] == i {
-            self.deg_head[d] = next;
-        }
-        if next != NONE {
-            self.deg_prev[next as usize] = prev;
-        }
-        self.deg_next[i as usize] = NONE;
-        self.deg_prev[i as usize] = NONE;
-    }
-
-    fn next_tag(&mut self) -> u64 {
-        self.tag += 1;
-        self.tag
-    }
-
-    fn eliminate_all(&mut self) {
-        let mut eliminated = 0usize;
-        while eliminated < self.n {
-            // Find the minimum-degree pivot.
-            while self.cur_min <= self.n && self.deg_head[self.cur_min] == NONE {
-                self.cur_min += 1;
-            }
-            let p = self.deg_head[self.cur_min.min(self.n)];
-            debug_assert!(p != NONE, "degree lists exhausted early");
-            self.bucket_remove(p);
-            eliminated += self.nv[p as usize];
-            self.eliminate(p);
-        }
-    }
-
-    /// Eliminates pivot `p`: forms element `p`, absorbs its adjacent
-    /// elements, updates degrees of the affected supervariables and
-    /// merges indistinguishable ones.
-    fn eliminate(&mut self, p: u32) {
-        // --- Build Lp: live supervariables adjacent to p (directly or
-        // through p's elements), marked with `tag`.
-        let tag = self.next_tag();
-        self.mark[p as usize] = tag;
-        let mut lp = std::mem::take(&mut self.lp);
-        lp.clear();
-        let vars = std::mem::take(&mut self.adj_var[p as usize]);
-        for &v in &vars {
-            let r = self.find(v);
-            if self.status[r as usize] == Status::Alive && self.mark[r as usize] != tag {
-                self.mark[r as usize] = tag;
-                lp.push(r);
+        // Element n collects the dense nodes; it starts dead.
+        g.elen[n] = -2;
+        g.w[n] = 0;
+        let dense = ix((10 * n.isqrt()).max(16)).min(ni - 2);
+        // Listed from the last node down, so each degree list starts at
+        // its lowest index: of the tie rules tried, the one whose fill
+        // held on the benchmark's pad layouts.
+        for i in (0..n).rev() {
+            let d = g.degree[i];
+            if d == 0 {
+                // An isolated node is an element at once.
+                g.elen[i] = -2;
+                g.nel += 1;
+                g.pe[i] = EMPTY;
+                g.w[i] = 0;
+            } else if d > dense {
+                g.nv[i] = 0;
+                g.elen[i] = -1;
+                g.nel += 1;
+                g.pe[i] = flip(ni);
+                g.nv[n] += 1;
+            } else {
+                g.push_degree(i, d);
             }
         }
-        let els = std::mem::take(&mut self.adj_el[p as usize]);
-        for &e in &els {
-            if self.el_absorbed[e as usize] {
-                continue;
-            }
-            let members = std::mem::take(&mut self.el_members[e as usize]);
-            for &v in &members {
-                let r = self.find(v);
-                if self.status[r as usize] == Status::Alive && self.mark[r as usize] != tag {
-                    self.mark[r as usize] = tag;
-                    lp.push(r);
+        g
+    }
+
+    /// Puts variable `i` at the head of degree list `d`.
+    fn push_degree(&mut self, i: usize, d: i32) {
+        let h = self.head[d as usize];
+        if h != EMPTY {
+            self.last[h as usize] = ix(i);
+        }
+        self.next[i] = h;
+        self.last[i] = EMPTY;
+        self.head[d as usize] = ix(i);
+    }
+
+    /// Takes variable `i` out of its degree list.
+    fn unlink_degree(&mut self, i: usize) {
+        let (next, last) = (self.next[i], self.last[i]);
+        if next != EMPTY {
+            self.last[next as usize] = last;
+        }
+        if last != EMPTY {
+            self.next[last as usize] = next;
+        } else {
+            self.head[self.degree[i] as usize] = next;
+        }
+    }
+
+    /// Takes the head of the lowest non-empty degree list.
+    fn select_pivot(&mut self) -> usize {
+        while self.head[self.mindeg as usize] == EMPTY {
+            self.mindeg += 1;
+        }
+        let k = self.head[self.mindeg as usize] as usize;
+        self.unlink_degree(k);
+        k
+    }
+
+    /// Advances `mark` by `by`, so every `w` entry of a live element
+    /// lies below it; restarts the marks (every live `w` back to 1, the
+    /// mark at 2) when `mark + lemax` would leave `i32`.
+    fn advance_mark(&mut self, by: i32) {
+        let lemax = self.lemax;
+        self.mark = match self
+            .mark
+            .checked_add(by)
+            .filter(|m| m.checked_add(lemax).is_some())
+        {
+            Some(m) => m,
+            None => {
+                let n = self.n as usize;
+                for x in &mut self.w[..n] {
+                    if *x != 0 {
+                        *x = 1;
+                    }
                 }
+                2
             }
-            self.el_members[e as usize] = members;
-        }
-        lp.sort_unstable();
-
-        // --- Absorb p's old elements into the new element p.
-        for &e in &els {
-            if !self.el_absorbed[e as usize] {
-                self.el_absorbed[e as usize] = true;
-                self.el_members[e as usize] = Vec::new();
-            }
-        }
-        self.status[p as usize] = Status::Eliminated;
-        self.elim_order.push(p);
-
-        let lp_weight: usize = lp.iter().map(|&i| self.nv[i as usize]).sum();
-
-        // --- Rebuild adjacency and recompute degrees for i in Lp.
-        for &i in &lp {
-            self.bucket_remove(i);
-
-            // Compact adj_var[i]: live roots outside Lp, deduped.
-            let dedup = self.next_tag();
-            let mut vlist = std::mem::take(&mut self.adj_var[i as usize]);
-            let mut kept = std::mem::take(&mut self.scratch);
-            kept.clear();
-            let mut var_weight = 0usize;
-            for &v in &vlist {
-                let r = self.find(v);
-                if self.status[r as usize] != Status::Alive {
-                    continue;
-                }
-                if self.mark[r as usize] == tag {
-                    continue; // covered by the new element p
-                }
-                if self.mark2[r as usize] == dedup {
-                    continue;
-                }
-                self.mark2[r as usize] = dedup;
-                kept.push(r);
-                var_weight += self.nv[r as usize];
-            }
-            vlist.clear();
-            vlist.extend_from_slice(&kept);
-            self.adj_var[i as usize] = vlist;
-
-            // Compact adj_el[i]: un-absorbed elements, deduped, plus p.
-            let eldedup = self.next_tag();
-            let mut elist = std::mem::take(&mut self.adj_el[i as usize]);
-            kept.clear();
-            let mut el_weight = 0usize;
-            for &e in &elist {
-                if self.el_absorbed[e as usize] || self.el_mark[e as usize] == eldedup {
-                    continue;
-                }
-                self.el_mark[e as usize] = eldedup;
-                kept.push(e);
-                el_weight += self.cached_external_weight(e, tag);
-            }
-            kept.push(p);
-            elist.clear();
-            elist.extend_from_slice(&kept);
-            self.adj_el[i as usize] = elist;
-            self.scratch = kept;
-
-            // Approximate external degree (Amestoy–Davis–Duff bound).
-            let d = var_weight + (lp_weight - self.nv[i as usize]) + el_weight;
-            self.degree[i as usize] = d.min(self.n - 1);
-        }
-
-        // --- Supervariable detection: merge indistinguishable members
-        // of Lp (equal adjacency sets). Hash, then confirm exactly.
-        self.merge_indistinguishable(&lp);
-
-        // --- Record the new element and reinsert survivors.
-        let mut members = Vec::with_capacity(lp.len());
-        for &i in &lp {
-            if self.status[i as usize] == Status::Alive {
-                members.push(i);
-                self.bucket_insert(i);
-            }
-        }
-        self.el_members[p as usize] = members;
-        self.lp = lp;
-    }
-
-    /// External weight of element `e` w.r.t. the current pivot's Lp,
-    /// computed once per pivot and cached in `w_val`/`w_stamp` (the
-    /// cache key is the Lp tag itself).
-    fn cached_external_weight(&mut self, e: u32, lp_tag: u64) -> usize {
-        if self.w_stamp[e as usize] == lp_tag {
-            return self.w_val[e as usize];
-        }
-        let w = self.element_external_weight(e, lp_tag);
-        self.w_stamp[e as usize] = lp_tag;
-        self.w_val[e as usize] = w;
-        w
-    }
-
-    /// External weight of element `e` w.r.t. the current pivot's Lp
-    /// (members marked with `lp_tag`); also compacts the member list to
-    /// live roots as a side effect.
-    fn element_external_weight(&mut self, e: u32, lp_tag: u64) -> usize {
-        let members = std::mem::take(&mut self.el_members[e as usize]);
-        let mut w = 0usize;
-        let dedup = self.next_tag();
-        let mut compact = Vec::with_capacity(members.len());
-        for &v in &members {
-            let r = self.find(v);
-            if self.status[r as usize] != Status::Alive {
-                continue;
-            }
-            if self.mark2[r as usize] == dedup {
-                continue;
-            }
-            self.mark2[r as usize] = dedup;
-            compact.push(r);
-            if self.mark[r as usize] != lp_tag {
-                w += self.nv[r as usize];
-            }
-        }
-        self.el_members[e as usize] = compact;
-        w
-    }
-
-    fn merge_indistinguishable(&mut self, lp: &[u32]) {
-        if lp.len() < 2 {
-            return;
-        }
-        // Cheap commutative hash of the adjacency sets.
-        let hash_of = |q: &Quotient, i: u32| -> u64 {
-            let mut h = 0u64;
-            for &v in &q.adj_var[i as usize] {
-                h = h.wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(u64::from(v) + 1));
-            }
-            for &e in &q.adj_el[i as usize] {
-                h = h.wrapping_add(0x85eb_ca6bu64.wrapping_mul(u64::from(e) + 7));
-            }
-            h
         };
-        let mut hashes: Vec<(u64, u32)> = lp.iter().map(|&i| (hash_of(self, i), i)).collect();
-        hashes.sort_unstable();
-        let mut a = 0;
-        while a < hashes.len() {
-            let mut b = a + 1;
-            while b < hashes.len() && hashes[b].0 == hashes[a].0 {
-                b += 1;
+    }
+
+    /// Eliminates pivot `k`: forms element `k`, updates the degrees of
+    /// its variables, merges the indistinguishable ones and puts the
+    /// survivors back in their degree lists.
+    fn eliminate(&mut self, k: usize) {
+        let elenk = self.elen[k];
+        let mut nvk = self.nv[k];
+        self.nel += nvk;
+        if elenk > 0 && self.cnz + self.mindeg as usize >= self.iw.len() {
+            self.compact();
+        }
+        let (pk1, pk2, mut dk) = self.new_element(k, elenk);
+        self.advance_mark(0);
+        self.set_differences(pk1, pk2);
+        self.update_degrees(k, pk1, pk2, &mut dk, &mut nvk);
+        self.degree[k] = dk;
+        self.lemax = self.lemax.max(dk);
+        self.advance_mark(self.lemax);
+        self.merge_supervariables(pk1, pk2);
+
+        // Finalize Lk: restore the survivors' weights, re-list them by
+        // their new approximate external degree, and drop the dead.
+        let mut p = pk1;
+        for pk in pk1..pk2 {
+            let i = self.iw[pk] as usize;
+            let nvi = -self.nv[i];
+            if nvi <= 0 {
+                continue;
             }
-            if b - a > 1 {
-                self.merge_group(&hashes[a..b]);
-            }
-            a = b;
+            self.nv[i] = nvi;
+            let d = (self.degree[i] + dk - nvi).min(self.n - self.nel - nvi);
+            self.push_degree(i, d);
+            self.mindeg = self.mindeg.min(d);
+            self.degree[i] = d;
+            self.iw[p] = ix(i);
+            p += 1;
+        }
+        self.nv[k] = nvk;
+        self.len[k] = ix(p - pk1);
+        if p == pk1 {
+            // An empty element is a root of the assembly tree.
+            self.pe[k] = EMPTY;
+            self.w[k] = 0;
+        }
+        if elenk != 0 {
+            self.cnz = p;
         }
     }
 
-    /// Confirms and applies merges within one hash-equal group.
-    fn merge_group(&mut self, group: &[(u64, u32)]) {
-        for x in 0..group.len() {
-            let i = group[x].1;
-            if self.status[i as usize] != Status::Alive {
-                continue;
+    /// Slides every live list to the front of `iw`: each list's first
+    /// entry is parked in `pe` and replaced by `flip(owner)`, so one scan
+    /// finds the lists in memory order.
+    fn compact(&mut self) {
+        for j in 0..self.n as usize {
+            let p = self.pe[j];
+            if p >= 0 {
+                self.pe[j] = self.iw[p as usize];
+                self.iw[p as usize] = flip(ix(j));
             }
-            for item in &group[x + 1..] {
-                let j = item.1;
-                if self.status[j as usize] != Status::Alive {
-                    continue;
+        }
+        let (mut q, mut p) = (0, 0);
+        while p < self.cnz {
+            let j = flip(self.iw[p]);
+            p += 1;
+            if j >= 0 {
+                let j = j as usize;
+                self.iw[q] = self.pe[j];
+                self.pe[j] = ix(q);
+                q += 1;
+                let rest = self.len[j] as usize - 1;
+                self.iw.copy_within(p..p + rest, q);
+                p += rest;
+                q += rest;
+            }
+        }
+        self.cnz = q;
+    }
+
+    /// Forms `Lk`, the live variables adjacent to `k` directly or through
+    /// its elements, which are absorbed. Each lands negated in `nv` and
+    /// out of its degree list. Returns `Lk`'s span in `iw` and weight.
+    fn new_element(&mut self, k: usize, elenk: i32) -> (usize, usize, i32) {
+        let mut dk = 0;
+        self.nv[k] = -self.nv[k];
+        let mut p = self.pe[k] as usize;
+        // With no element to absorb, Lk overwrites k's own list.
+        let pk1 = if elenk == 0 { p } else { self.cnz };
+        let mut pk2 = pk1;
+        for k1 in 0..=elenk {
+            let (e, mut pj, ln) = if k1 == elenk {
+                (k, p, self.len[k] - elenk)
+            } else {
+                let e = self.iw[p] as usize;
+                p += 1;
+                (e, self.pe[e] as usize, self.len[e])
+            };
+            for _ in 0..ln {
+                let i = self.iw[pj] as usize;
+                pj += 1;
+                let nvi = self.nv[i];
+                if nvi <= 0 {
+                    continue; // dead, or already in Lk
                 }
-                if self.same_adjacency(i, j) {
-                    // Merge j into i (i < j by sort order).
-                    self.status[j as usize] = Status::Merged;
-                    self.merge_parent[j as usize] = i;
-                    self.nv[i as usize] += self.nv[j as usize];
-                    self.degree[i as usize] =
-                        self.degree[i as usize].saturating_sub(self.nv[j as usize]);
-                    // Splice j's group chain onto i's.
-                    let jt = self.group_head[j as usize];
-                    self.group_next[self.group_tail[i as usize] as usize] = jt;
-                    self.group_tail[i as usize] = self.group_tail[j as usize];
-                    self.adj_var[j as usize] = Vec::new();
-                    self.adj_el[j as usize] = Vec::new();
+                dk += nvi;
+                self.nv[i] = -nvi;
+                self.iw[pk2] = ix(i);
+                pk2 += 1;
+                self.unlink_degree(i);
+            }
+            if e != k {
+                self.pe[e] = flip(ix(k));
+                self.w[e] = 0;
+            }
+        }
+        if elenk != 0 {
+            self.cnz = pk2;
+        }
+        self.degree[k] = dk;
+        self.pe[k] = ix(pk1);
+        self.len[k] = ix(pk2 - pk1);
+        self.elen[k] = -2;
+        (pk1, pk2, dk)
+    }
+
+    /// Scan 1: `w[e] − mark = |Le \ Lk|` for every element `e` adjacent
+    /// to a variable of `Lk`.
+    fn set_differences(&mut self, pk1: usize, pk2: usize) {
+        for pk in pk1..pk2 {
+            let i = self.iw[pk] as usize;
+            let eln = self.elen[i];
+            if eln <= 0 {
+                continue;
+            }
+            let nvi = -self.nv[i];
+            let wnvi = self.mark - nvi;
+            let p1 = self.pe[i] as usize;
+            for p in p1..p1 + eln as usize {
+                let e = self.iw[p] as usize;
+                if self.w[e] >= self.mark {
+                    self.w[e] -= nvi;
+                } else if self.w[e] != 0 {
+                    self.w[e] = self.degree[e] + wnvi;
                 }
             }
         }
     }
 
-    /// Exact set equality of the (just-compacted) adjacency lists,
-    /// ignoring i/j themselves.
-    fn same_adjacency(&mut self, i: u32, j: u32) -> bool {
-        let vi_len = self.adj_var[i as usize].len();
-        let vj_len = self.adj_var[j as usize].len();
-        let ei_len = self.adj_el[i as usize].len();
-        let ej_len = self.adj_el[j as usize].len();
-        if ei_len != ej_len {
-            return false;
-        }
-        // Variable lists may differ only by mutual entries (i lists j).
-        let t = self.next_tag();
-        let mut i_count = 0usize;
-        for idx in 0..vi_len {
-            let r = self.find(self.adj_var[i as usize][idx]);
-            if r == j {
-                continue;
+    /// Scan 2: prunes each variable of `Lk` (absorbed elements, and
+    /// variables now covered by `k`), puts `k` first in its element list,
+    /// bounds its external degree, and files it in a hash bucket. An
+    /// element whose variables all lie in `Lk` is absorbed into `k`; a
+    /// variable with nothing outside `Lk` is eliminated with `k`.
+    fn update_degrees(&mut self, k: usize, pk1: usize, pk2: usize, dk: &mut i32, nvk: &mut i32) {
+        let n = self.n as usize;
+        for pk in pk1..pk2 {
+            let i = self.iw[pk] as usize;
+            let p1 = self.pe[i] as usize;
+            let p2 = p1 + self.elen[i] as usize;
+            let mut pn = p1;
+            let (mut h, mut d) = (0usize, 0i32);
+            for p in p1..p2 {
+                let e = self.iw[p] as usize;
+                if self.w[e] != 0 {
+                    let dext = self.w[e] - self.mark;
+                    if dext > 0 {
+                        d += dext;
+                        self.iw[pn] = ix(e);
+                        pn += 1;
+                        h = h.wrapping_add(e);
+                    } else {
+                        self.pe[e] = flip(ix(k));
+                        self.w[e] = 0;
+                    }
+                }
             }
-            if self.mark2[r as usize] != t {
-                self.mark2[r as usize] = t;
-                i_count += 1;
+            self.elen[i] = ix(pn - p1 + 1);
+            let p3 = pn;
+            let p4 = p1 + self.len[i] as usize;
+            for p in p2..p4 {
+                let j = self.iw[p] as usize;
+                let nvj = self.nv[j];
+                if nvj <= 0 {
+                    continue; // dead, or in Lk
+                }
+                d += nvj;
+                self.iw[pn] = ix(j);
+                pn += 1;
+                h = h.wrapping_add(j);
+            }
+            if d == 0 {
+                self.pe[i] = flip(ix(k));
+                let nvi = -self.nv[i];
+                *dk -= nvi;
+                *nvk += nvi;
+                self.nel += nvi;
+                self.nv[i] = 0;
+                self.elen[i] = -1;
+            } else {
+                self.degree[i] = self.degree[i].min(d);
+                // k goes first: the first variable moves to the end and
+                // the first element to the end of the elements.
+                self.iw[pn] = self.iw[p3];
+                self.iw[p3] = self.iw[p1];
+                self.iw[p1] = ix(k);
+                self.len[i] = ix(pn - p1 + 1);
+                let h = h % n;
+                self.next[i] = self.hhead[h];
+                self.hhead[h] = ix(i);
+                self.last[i] = ix(h);
             }
         }
-        let mut j_count = 0usize;
-        for idx in 0..vj_len {
-            let r = self.find(self.adj_var[j as usize][idx]);
-            if r == i {
-                continue;
-            }
-            if self.mark2[r as usize] != t {
-                return false; // j has a neighbor i lacks
-            }
-            j_count += 1;
-        }
-        // j_count may count duplicates; require it to cover i's set.
-        if j_count < i_count {
-            return false;
-        }
-        let te = self.next_tag();
-        for idx in 0..ei_len {
-            let e = self.adj_el[i as usize][idx];
-            self.el_mark[e as usize] = te;
-        }
-        for idx in 0..ej_len {
-            let e = self.adj_el[j as usize][idx];
-            if self.el_mark[e as usize] != te {
-                return false;
-            }
-        }
-        true
     }
 
-    /// Expands the supervariable elimination order into a full
-    /// permutation over original indices.
-    fn into_perm(self) -> Vec<u32> {
-        let mut perm = Vec::with_capacity(self.n);
-        for &root in &self.elim_order {
-            let mut v = self.group_head[root as usize];
-            while v != NONE {
-                perm.push(v);
-                v = self.group_next[v as usize];
+    /// Merges the variables of `Lk` whose lists are identical, comparing
+    /// only within each hash bucket; the first of a bucket absorbs the
+    /// later twins of each of its members.
+    fn merge_supervariables(&mut self, pk1: usize, pk2: usize) {
+        for pk in pk1..pk2 {
+            let i = self.iw[pk] as usize;
+            if self.nv[i] >= 0 {
+                continue; // dead
+            }
+            let h = self.last[i] as usize;
+            let mut i = self.hhead[h];
+            self.hhead[h] = EMPTY;
+            while i != EMPTY && self.next[i as usize] != EMPTY {
+                let iu = i as usize;
+                let (ln, eln) = (self.len[iu] as usize, self.elen[iu]);
+                let pi = self.pe[iu] as usize;
+                for p in pi + 1..pi + ln {
+                    self.w[self.iw[p] as usize] = self.mark;
+                }
+                let mut jlast = iu;
+                let mut j = self.next[iu];
+                while j != EMPTY {
+                    let ju = j as usize;
+                    let pj = self.pe[ju] as usize;
+                    let twin = self.len[ju] as usize == ln
+                        && self.elen[ju] == eln
+                        && self.iw[pj + 1..pj + ln]
+                            .iter()
+                            .all(|&x| self.w[x as usize] == self.mark);
+                    j = self.next[ju];
+                    if twin {
+                        self.pe[ju] = flip(i);
+                        self.nv[iu] += self.nv[ju];
+                        self.nv[ju] = 0;
+                        self.elen[ju] = -1;
+                        self.next[jlast] = j;
+                    } else {
+                        jlast = ju;
+                    }
+                }
+                i = self.next[iu];
+                self.mark += 1;
             }
         }
-        debug_assert_eq!(perm.len(), self.n);
-        perm
+    }
+
+    /// Postorders the assembly tree (absorbed nodes under the node that
+    /// absorbed them, dense nodes under element `n`), children in
+    /// ascending order, and returns the order without element `n`.
+    fn postorder(mut self) -> Vec<u32> {
+        let n = self.n as usize;
+        for p in &mut self.pe[..n] {
+            *p = flip(*p);
+        }
+        self.head.fill(EMPTY);
+        // Dead variables first, then elements, each list built from the
+        // back so children come out ascending within each kind.
+        for j in (0..=n).rev() {
+            if self.nv[j] <= 0 {
+                let parent = self.pe[j] as usize;
+                self.next[j] = self.head[parent];
+                self.head[parent] = ix(j);
+            }
+        }
+        for e in (0..=n).rev() {
+            if self.nv[e] > 0 && self.pe[e] != EMPTY {
+                let parent = self.pe[e] as usize;
+                self.next[e] = self.head[parent];
+                self.head[parent] = ix(e);
+            }
+        }
+        let mut post = Vec::with_capacity(n + 1);
+        let stack = &mut self.w;
+        for root in 0..=n {
+            if self.pe[root] != EMPTY {
+                continue;
+            }
+            let mut top = 0;
+            stack[0] = ix(root);
+            loop {
+                let p = stack[top] as usize;
+                let child = self.head[p];
+                if child == EMPTY {
+                    // CAST(p ≤ n, and n passed the i32 bound): u32 output.
+                    #[allow(clippy::cast_possible_truncation)]
+                    post.push(p as u32);
+                    if top == 0 {
+                        break;
+                    }
+                    top -= 1;
+                } else {
+                    self.head[p] = self.next[child as usize];
+                    top += 1;
+                    stack[top] = child;
+                }
+            }
+        }
+        debug_assert_eq!(post.last().map(|&p| p as usize), Some(n));
+        post.pop();
+        post
     }
 }
 
@@ -493,13 +608,17 @@ pub fn etree(n: usize, up_colptr: &[usize], up_rows: &[u32]) -> Vec<u32> {
     let mut parent = vec![NONE; n];
     let mut ancestor = vec![NONE; n];
     for k in 0..n {
+        // CAST(k < n, and the pattern already indexes rows as u32):
+        // compact tree arrays.
+        #[allow(clippy::cast_possible_truncation)]
+        let ku = k as u32;
         for &ri in &up_rows[up_colptr[k]..up_colptr[k + 1]] {
             let mut i = ri as usize;
             while i < k {
                 let next = ancestor[i];
-                ancestor[i] = k as u32;
+                ancestor[i] = ku;
                 if next == NONE {
-                    parent[i] = k as u32;
+                    parent[i] = ku;
                     break;
                 }
                 i = next as usize;
@@ -517,18 +636,22 @@ pub fn postorder(parent: &[u32]) -> Vec<u32> {
     // Build child lists (ascending by construction).
     let mut head = vec![NONE; n];
     let mut next = vec![NONE; n];
+    // CAST(node indices are below n = parent.len(), and `parent` already
+    // holds them as u32): compact child lists and stack.
+    #[allow(clippy::cast_possible_truncation)]
+    let node = |i: usize| i as u32;
     for i in (0..n).rev() {
         let p = parent[i];
         if p != NONE {
             next[i] = head[p as usize];
-            head[p as usize] = i as u32;
+            head[p as usize] = node(i);
         }
     }
     let mut post = Vec::with_capacity(n);
     let mut stack: Vec<u32> = Vec::new();
     for r in (0..n).rev() {
         if parent[r] == NONE {
-            stack.push(r as u32);
+            stack.push(node(r));
         }
     }
     // Iterative DFS emitting nodes after their children.

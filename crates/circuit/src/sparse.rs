@@ -171,6 +171,23 @@ impl Csc {
     pub(crate) fn max_abs(&self) -> f64 {
         self.values.iter().map(|v| v.abs()).fold(0.0, f64::max)
     }
+
+    /// Matrix–vector product `A·x` (residual checks).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `x` is shorter than the matrix dimension.
+    pub(crate) fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
+        let n = self.col_ptr.len() - 1;
+        let mut out = vec![0.0; n];
+        for (c, &xc) in x[..n].iter().enumerate() {
+            let (lo, hi) = (self.col_ptr[c], self.col_ptr[c + 1]);
+            for (&r, &v) in self.row_idx[lo..hi].iter().zip(&self.values[lo..hi]) {
+                out[r as usize] += v * xc;
+            }
+        }
+        out
+    }
 }
 
 /// A sparse LU factorization `P·A = L·U`.

@@ -113,6 +113,24 @@ struct Registry {
 
 static REGISTRY: LazyLock<Registry> = LazyLock::new(Registry::default);
 
+/// Bumped by every [`reset`], after the maps are cleared: a handle
+/// cached at an older generation points at a cell the registry forgot.
+static GENERATION: AtomicU64 = AtomicU64::new(0);
+
+/// The registry generation: it changes exactly when [`reset`] empties
+/// the registry, so a cache of handles (the span close's per-thread
+/// timer cache in [`crate::trace`]) keyed on it never feeds a forgotten
+/// cell after it has seen the reset.
+pub(crate) fn generation() -> u64 {
+    // SAFETY(ordering): Acquire pairs with the Release bump in `reset`,
+    // so a thread that reads the new generation also sees the cleared
+    // maps when it re-interns. A stale read is the race every handle
+    // already has with `reset` (documented there): the observation
+    // lands in the forgotten cell, as on a handle looked up just
+    // before the reset.
+    GENERATION.load(Ordering::Acquire)
+}
+
 /// Locks a registry map, recovering from poisoning: the maps hold
 /// plain `Arc`s, so a panic mid-insert cannot leave them in a state
 /// worse than missing one entry, and telemetry must never take the
@@ -270,7 +288,9 @@ impl GaugeStats {
 
 /// A point-in-time copy of the whole registry.
 ///
-/// Serializes to the schema documented in `docs/OBSERVABILITY.md`:
+/// Serializes to the schema documented in `docs/OBSERVABILITY.md`,
+/// whose `"telemetry": true` is a constant older readers expect (parsing
+/// ignores it):
 ///
 /// ```json
 /// {
@@ -283,10 +303,6 @@ impl GaugeStats {
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsSnapshot {
-    /// `true` for every snapshot this crate takes (serialized as
-    /// `"telemetry"`). Files written by builds that compiled telemetry
-    /// out carry `false`, with empty maps.
-    pub enabled: bool,
     /// Counter totals by name.
     pub counters: BTreeMap<String, u64>,
     /// Gauge statistics (last value + min/max envelope) by name.
@@ -343,7 +359,7 @@ impl MetricsSnapshot {
             })
             .collect();
         Json::object([
-            ("telemetry", Json::from(self.enabled)),
+            ("telemetry", Json::Bool(true)),
             ("counters", Json::Obj(counters)),
             ("gauges", Json::Obj(gauges)),
             ("timers", Json::Obj(timers)),
@@ -356,10 +372,6 @@ impl MetricsSnapshot {
     ///
     /// Returns a description of the first schema violation.
     pub fn from_json(v: &Json) -> Result<Self, String> {
-        let enabled = v
-            .get("telemetry")
-            .and_then(Json::as_bool)
-            .ok_or("missing boolean `telemetry`")?;
         let obj = |key: &str| -> Result<&[(String, Json)], String> {
             v.get(key)
                 .and_then(Json::as_object)
@@ -412,7 +424,6 @@ impl MetricsSnapshot {
             );
         }
         Ok(Self {
-            enabled,
             counters,
             gauges,
             timers,
@@ -474,7 +485,6 @@ pub fn snapshot() -> MetricsSnapshot {
         })
         .collect();
     MetricsSnapshot {
-        enabled: true,
         counters,
         gauges,
         timers,
@@ -490,6 +500,9 @@ pub fn reset() {
     lock_map(&REGISTRY.counters).clear();
     lock_map(&REGISTRY.gauges).clear();
     lock_map(&REGISTRY.timers).clear();
+    // SAFETY(ordering): Release publishes the cleared maps to every
+    // thread that Acquire-reads the new generation (`generation`).
+    GENERATION.fetch_add(1, Ordering::Release);
 }
 
 /// The registry is process-global; every test touching it serializes on

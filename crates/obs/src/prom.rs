@@ -63,9 +63,8 @@ fn header(out: &mut String, name: &str, kind: &str, help: &str) {
 /// Renders `snapshot` in Prometheus text-exposition format 0.0.4.
 ///
 /// The output always contains at least `hotwire_telemetry_enabled`
-/// (1 for a snapshot of the live registry, 0 for a default one), so an
-/// empty scrape is distinguishable from one that found nothing to
-/// report.
+/// (always 1: every build records telemetry), so a scrape is never
+/// empty.
 #[must_use]
 pub fn render(snapshot: &MetricsSnapshot) -> String {
     const MS_PER_SEC: f64 = 1.0e3;
@@ -75,12 +74,9 @@ pub fn render(snapshot: &MetricsSnapshot) -> String {
         &mut out,
         "hotwire_telemetry_enabled",
         "gauge",
-        "1 for a snapshot of the live registry, 0 for a blank default.",
+        "Always 1: every build records telemetry.",
     );
-    out.push_str(&format!(
-        "hotwire_telemetry_enabled {}\n",
-        u8::from(snapshot.enabled)
-    ));
+    out.push_str("hotwire_telemetry_enabled 1\n");
 
     for (name, &value) in &snapshot.counters {
         let prom = format!("{}_total", metric_name(name));
@@ -170,7 +166,6 @@ mod tests {
             },
         );
         MetricsSnapshot {
-            enabled: true,
             counters,
             gauges,
             timers,
@@ -238,8 +233,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_snapshot_still_renders() {
+    fn empty_snapshot_still_renders() {
         let text = render(&MetricsSnapshot::default());
-        assert!(text.contains("hotwire_telemetry_enabled 0\n"));
+        assert!(text.contains("hotwire_telemetry_enabled 1\n"));
     }
 }

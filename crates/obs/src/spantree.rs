@@ -61,12 +61,12 @@ pub struct SpanRecord {
 }
 
 /// A drained capture: completed spans sorted by `(start_us, id)`.
+///
+/// Both file forms carry `"telemetry": true` (the JSONL header, the
+/// Chrome `otherData`), which older readers expect; the parsers ignore
+/// it.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SpanTrace {
-    /// Whether the producer recorded spans: `true` for every capture
-    /// this crate takes. Files written by builds that compiled
-    /// telemetry out carry `false` (and zero spans).
-    pub telemetry: bool,
     /// Completed spans, sorted by begin time then ID.
     pub spans: Vec<SpanRecord>,
 }
@@ -106,7 +106,7 @@ impl SpanTrace {
         let header = Json::object([
             ("schema", Json::from("hotwire-spans")),
             ("version", Json::from(1_u64)),
-            ("telemetry", Json::from(self.telemetry)),
+            ("telemetry", Json::Bool(true)),
             ("spans", Json::from(self.spans.len())),
         ]);
         out.push_str(&header.to_string());
@@ -136,7 +136,6 @@ impl SpanTrace {
     /// header, interleaved event lines) are skipped; malformed JSON or
     /// a span object missing a required key is an error.
     pub fn from_jsonl(text: &str) -> Result<Self, String> {
-        let mut telemetry = true;
         let mut spans = Vec::new();
         for (i, line) in text.lines().enumerate() {
             let line = line.trim();
@@ -144,12 +143,8 @@ impl SpanTrace {
                 continue;
             }
             let v = crate::json::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-            if v.get("schema").is_some() {
-                telemetry = v.get("telemetry").and_then(Json::as_bool).unwrap_or(true);
-                continue;
-            }
-            if v.get("dur_us").is_none() {
-                continue; // not a span line (e.g. a stray log event)
+            if v.get("schema").is_some() || v.get("dur_us").is_none() {
+                continue; // the header, or a stray log event
             }
             let need = |key: &str| {
                 v.get(key)
@@ -180,7 +175,7 @@ impl SpanTrace {
             });
         }
         sort_spans(&mut spans);
-        Ok(Self { telemetry, spans })
+        Ok(Self { spans })
     }
 
     /// Renders the Chrome Trace Event form (the JSON Object Format with
@@ -307,10 +302,7 @@ impl SpanTrace {
 
         Json::object([
             ("displayTimeUnit", Json::from("ms")),
-            (
-                "otherData",
-                Json::object([("telemetry", Json::from(self.telemetry))]),
-            ),
+            ("otherData", Json::object([("telemetry", Json::Bool(true))])),
             ("traceEvents", Json::Arr(events)),
         ])
     }
@@ -324,19 +316,12 @@ impl SpanTrace {
     /// events left open at the end of the array — i.e. success implies
     /// the trace is balanced.
     pub fn from_chrome(v: &Json) -> Result<Self, String> {
-        let (events, telemetry) = match v {
-            Json::Arr(events) => (events.as_slice(), true),
-            other => (
-                other
-                    .get("traceEvents")
-                    .and_then(Json::as_array)
-                    .ok_or("chrome trace: missing `traceEvents` array")?,
-                other
-                    .get("otherData")
-                    .and_then(|d| d.get("telemetry"))
-                    .and_then(Json::as_bool)
-                    .unwrap_or(true),
-            ),
+        let events = match v {
+            Json::Arr(events) => events.as_slice(),
+            other => other
+                .get("traceEvents")
+                .and_then(Json::as_array)
+                .ok_or("chrome trace: missing `traceEvents` array")?,
         };
         // Events without an explicit args.id get fresh IDs above every
         // explicit one, so synthesized IDs never collide.
@@ -435,7 +420,7 @@ impl SpanTrace {
             }
         }
         sort_spans(&mut spans);
-        Ok(Self { telemetry, spans })
+        Ok(Self { spans })
     }
 
     /// Parses either format: whole-text Chrome Trace Event JSON (object
@@ -723,10 +708,7 @@ pub fn capture_take() -> SpanTrace {
     RECORDING.store(0, Ordering::Relaxed);
     let drained_at = Instant::now();
     let Some(epoch) = lock(&shared().epoch).take() else {
-        return SpanTrace {
-            telemetry: true,
-            spans: Vec::new(),
-        };
+        return SpanTrace::default();
     };
     let mut all: Vec<(u64, RawEvent)> = Vec::new();
     {
@@ -784,10 +766,7 @@ pub fn capture_take() -> SpanTrace {
         spans.push(r);
     }
     sort_spans(&mut spans);
-    SpanTrace {
-        telemetry: true,
-        spans,
-    }
+    SpanTrace { spans }
 }
 
 #[cfg(test)]
@@ -808,7 +787,6 @@ mod tests {
             args: Vec::new(),
         };
         let mut t = SpanTrace {
-            telemetry: true,
             spans: vec![
                 span(1, None, "root", 0, 0.0, 1000.0),
                 span(2, Some(1), "stage_a", 0, 0.0, 400.0),
@@ -945,8 +923,11 @@ mod tests {
             .expect("worker thread joins");
         }
         let t = capture_take();
-        assert!(t.telemetry);
         assert!(!capture_active());
+        let jsonl = t.to_jsonl();
+        let header =
+            crate::json::parse(jsonl.lines().next().expect("header line")).expect("header parses");
+        assert_eq!(header.get("telemetry").and_then(Json::as_bool), Some(true));
         let find = |name: &str| t.spans.iter().find(|s| s.name == name).expect(name);
         let root = find("cap.root");
         let child = find("cap.child");

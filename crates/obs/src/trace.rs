@@ -57,6 +57,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::json::Json;
+use crate::metrics::Timer;
 use crate::spantree::ThreadBuffer;
 use crate::sync::{AtomicU8, Ordering};
 
@@ -264,6 +265,11 @@ struct ThreadSpans {
     /// span. The registry keeps a second `Arc`; when the thread exits
     /// and drops this one, the next capture start prunes the buffer.
     buffer: Option<Arc<ThreadBuffer>>,
+    /// Timer handles of the span names this thread has closed, keyed by
+    /// the name's address and length, valid for registry generation
+    /// `timers_generation` ([`crate::metrics::reset`] moves it on).
+    timers: Vec<(&'static str, Timer)>,
+    timers_generation: u64,
 }
 
 impl ThreadSpans {
@@ -281,6 +287,24 @@ impl ThreadSpans {
     fn buffer(&mut self) -> &ThreadBuffer {
         self.buffer.get_or_insert_with(ThreadBuffer::register)
     }
+
+    /// The metrics timer of span `name`: the registry lock is taken once
+    /// per name and thread, and again only after a registry reset.
+    fn timer(&mut self, name: &'static str) -> &Timer {
+        let generation = crate::metrics::generation();
+        if self.timers_generation != generation {
+            self.timers.clear();
+            self.timers_generation = generation;
+        }
+        let at = match self.timers.iter().position(|&(n, _)| std::ptr::eq(n, name)) {
+            Some(at) => at,
+            None => {
+                self.timers.push((name, crate::metrics::timer(name)));
+                self.timers.len() - 1
+            }
+        };
+        &self.timers[at].1
+    }
 }
 
 thread_local! {
@@ -289,6 +313,8 @@ thread_local! {
             stack: Vec::new(),
             adopted: Vec::new(),
             buffer: None,
+            timers: Vec::new(),
+            timers_generation: 0,
         })
     };
 }
@@ -440,7 +466,6 @@ impl Span {
         let end_at = Instant::now();
         let elapsed = end_at.saturating_duration_since(self.start);
         let (level, fields) = closed.unwrap_or((Level::Trace, &[]));
-        crate::metrics::timer(self.name).observe(elapsed);
         let elapsed_ms = elapsed.as_secs_f64() * 1e3;
         if enabled(level) {
             let mut line = vec![("elapsed_ms", FieldValue::F64(elapsed_ms))];
@@ -455,6 +480,7 @@ impl Span {
         }
         SPANS.with(|spans| {
             let mut spans = spans.borrow_mut();
+            spans.timer(self.name).observe(elapsed);
             if let Some(id) = self.id {
                 // Unconditional once the span holds an ID: if the
                 // capture was drained mid-span, this end is an orphan
@@ -629,6 +655,22 @@ mod tests {
         let snap = crate::metrics::snapshot();
         assert_eq!(snap.timers["t.outer"].count, 1);
         assert_eq!(snap.timers["t.inner"].count, 1);
+        crate::metrics::reset();
+    }
+
+    /// A thread that closed a span name before `metrics::reset()`
+    /// holds that name's timer in its cache; its next close of the name
+    /// must still land in the fresh registry.
+    #[test]
+    fn a_span_closed_after_reset_lands_in_the_fresh_registry() {
+        let _guard = crate::metrics::testutil::lock();
+        crate::metrics::reset();
+        drop(span("t.cached"));
+        assert_eq!(crate::metrics::snapshot().timers["t.cached"].count, 1);
+        crate::metrics::reset();
+        drop(span("t.cached"));
+        let fresh = crate::metrics::snapshot();
+        assert_eq!(fresh.timers.get("t.cached").map(|t| t.count), Some(1));
         crate::metrics::reset();
     }
 

@@ -1301,12 +1301,7 @@ fn cmd_trace(args: &[String]) -> Result<(), CliError> {
         .map_err(|e| CliError::usage(format!("{path} is not a span trace: {e}")))?;
     if trace.spans.is_empty() {
         return Err(CliError::usage(format!(
-            "{path}: no spans captured{} — nothing to analyze",
-            if trace.telemetry {
-                ""
-            } else {
-                " (written by a no-telemetry build)"
-            }
+            "{path}: no spans captured — nothing to analyze"
         )));
     }
 

@@ -23,6 +23,14 @@ fn hotwire_status(args: &[&str]) -> (Option<i32>, String, String) {
     )
 }
 
+/// The `telemetry` key of a JSONL span capture's header line.
+fn jsonl_telemetry(jsonl: &str) -> Option<bool> {
+    let header = hotwire::obs::json::parse(jsonl.lines().next()?).ok()?;
+    header
+        .get("telemetry")
+        .and_then(hotwire::obs::json::Json::as_bool)
+}
+
 #[test]
 fn help_lists_commands() {
     let (ok, stdout, _) = hotwire(&["help"]);
@@ -459,10 +467,10 @@ fn metrics_and_trace_out_write_parsable_json() {
     // The JSONL span capture carries the convergence history: one
     // `coupled.iteration` span per iteration with its residual, and a
     // `coupled.run` span closed with the verdict.
-    let trace =
-        hotwire::obs::spantree::SpanTrace::parse(&std::fs::read_to_string(&trace_path).unwrap())
-            .expect("trace file is a JSONL span capture");
-    assert!(trace.telemetry);
+    let jsonl = std::fs::read_to_string(&trace_path).unwrap();
+    let trace = hotwire::obs::spantree::SpanTrace::parse(&jsonl)
+        .expect("trace file is a JSONL span capture");
+    assert_eq!(jsonl_telemetry(&jsonl), Some(true));
     let arg = |s: &hotwire::obs::SpanRecord, key: &str| {
         s.args
             .iter()
@@ -655,7 +663,13 @@ fn trace_format_chrome_captures_a_span_tree_the_analyzer_reads() {
     // The raw Trace Event stream must be balanced and well-formed: the
     // `from_chrome` parser rejects unmatched B/E, so a successful parse
     // is the balance assertion. Check the content beyond that.
-    assert!(trace.telemetry);
+    let raw = hotwire::obs::json::parse(&text).expect("chrome trace is JSON");
+    assert_eq!(
+        raw.get("otherData")
+            .and_then(|d| d.get("telemetry"))
+            .and_then(hotwire::obs::json::Json::as_bool),
+        Some(true)
+    );
     let iterations = trace
         .spans
         .iter()
@@ -721,10 +735,11 @@ fn trace_out_is_independent_of_log_level() {
             "jsonl",
         ]);
         assert!(ok, "stdout: {stdout}\nstderr: {stderr}");
-        let trace = SpanTrace::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let jsonl = std::fs::read_to_string(&path).unwrap();
+        let trace = SpanTrace::parse(&jsonl).unwrap();
         let mut names: Vec<String> = trace.spans.iter().map(|s| s.name.clone()).collect();
         names.sort();
-        assert!(trace.telemetry);
+        assert_eq!(jsonl_telemetry(&jsonl), Some(true));
         multisets.push(names);
     }
     assert_eq!(

@@ -195,7 +195,13 @@ fn snapshot_round_trips_through_json() {
     let compact = hotwire::obs::json::parse(&snapshot.to_json().to_string()).unwrap();
     assert_eq!(MetricsSnapshot::from_json(&compact).unwrap(), snapshot);
 
-    assert!(restored.enabled);
+    assert_eq!(
+        reparsed
+            .get("telemetry")
+            .and_then(hotwire::obs::json::Json::as_bool),
+        Some(true),
+        "the writer keeps the constant key older readers expect"
+    );
     assert_eq!(restored.counter("roundtrip.events"), 42);
     let stage = restored.timers["roundtrip.stage"];
     assert_eq!(stage.count, 2);

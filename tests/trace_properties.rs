@@ -129,10 +129,7 @@ fn build_trace(ops: &[Op]) -> SpanTrace {
             .unwrap()
             .then(a.id.cmp(&b.id))
     });
-    SpanTrace {
-        telemetry: true,
-        spans: done,
-    }
+    SpanTrace { spans: done }
 }
 
 /// Checks the raw Trace Event array: every `B` has a matching same-name
